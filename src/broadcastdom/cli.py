@@ -54,12 +54,10 @@ from .pattern_engine import (
     SublatticePattern,
     TowerPattern,
     is_dominating_lattice,
-    is_dominating_tower,
     lattice_receptions,
     lattice_search_3d,
     min_density_search,
     reception_table,
-    tower_reception,
 )
 
 EXIT_OK = 0
@@ -253,7 +251,7 @@ def _cmd_max_d(args) -> int:
 def _cmd_tower_check(args) -> int:
     params = Params(args.t, args.r)
     pattern = TowerPattern(args.d, args.e)
-    receptions = [tower_reception(params, pattern, i) for i in range(args.d)]
+    receptions = list(reception_table(params, pattern).receptions)
     dominating = min(receptions) >= args.r
     payload = {
         "t": args.t, "r": args.r, "pattern": str(pattern),
@@ -274,7 +272,7 @@ def _cmd_tower_check(args) -> int:
     return EXIT_OK if dominating else EXIT_FALSE
 
 
-def _table_text(profile, r: int) -> str:
+def _table_text(profile) -> str:
     width = max(
         2,
         max(len(str(v)) for _, vec in profile.rows for v in vec),
@@ -282,20 +280,11 @@ def _table_text(profile, r: int) -> str:
         len(str(len(profile.receptions) - 1)),
     )
     label_w = max(len("Sum"), max(len(str(y)) for y, _ in profile.rows))
-    lines = [
-        " " * label_w + " | "
-        + " ".join(str(i).rjust(width) for i in range(len(profile.receptions)))
-    ]
-    for y, vec in profile.rows:
-        lines.append(
-            str(y).rjust(label_w) + " | "
-            + " ".join(str(v).rjust(width) for v in vec)
-        )
-    lines.append(
-        "Sum".rjust(label_w) + " | "
-        + " ".join(str(v).rjust(width) for v in profile.receptions)
+    header = ("", range(len(profile.receptions)))
+    return "\n".join(
+        str(label).rjust(label_w) + " | " + " ".join(str(v).rjust(width) for v in vec)
+        for label, vec in (header, *profile.rows, ("Sum", profile.receptions))
     )
-    return "\n".join(lines)
 
 
 def _cmd_tower_table(args) -> int:
@@ -312,7 +301,7 @@ def _cmd_tower_table(args) -> int:
     header = ["y"] + [str(i) for i in range(args.d)]
     rows = [[y, *vec] for y, vec in profile.rows]
     rows.append(["Sum", *profile.receptions])
-    _emit(args, "tower-table", payload, (header, rows), _table_text(profile, args.r))
+    _emit(args, "tower-table", payload, (header, rows), _table_text(profile))
     return EXIT_OK
 
 

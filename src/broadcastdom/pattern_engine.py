@@ -3,9 +3,11 @@
 A pattern places a broadcast at every point of a full-rank sublattice of Z^n
 and is judged by whether every lattice point still accumulates reception r.
 Two-dimensional patterns of the form {(m*d + k*e, k)} are towers: one
-broadcast per row, shifted e per row, period d. Density is 1 broadcast per
-d cells, so the search for a dominating tower walks d downward from the
-coverage bound and returns the sparsest hit.
+broadcast per row, shifted e per row, period d: the sublattice with Hermite
+basis ((d,0),(e,1)), so the search for the sparsest dominating tower walks d
+downward from the coverage bound. Reception is constant on cosets, so towers
+and sublattices alike read it from one coset histogram, a single pass over
+the ball, and share its cap of DEFAULT_INDEX_CAP cosets.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coverage_bounds import Params, max_potential_d
-from .lattice_geometry import LatticePoint, shell_enumerate
+from .lattice_geometry import LatticePoint
 
 DEFAULT_INDEX_CAP = 10**6
 
@@ -55,37 +57,77 @@ class ReceptionProfile:
     rows: Optional[tuple[tuple[int, tuple[int, ...]], ...]] = None
 
 
-def _row_contribution(reach: int, d: int, m: int) -> int:
-    # m is the horizontal offset from column i back to the nearest broadcast
-    # at or left of it; the row's broadcasts sit every d columns. Reach can
-    # cover several of them when d is small, so walk both directions.
-    total = 0
-    delta = m
-    while delta < reach:
-        total += reach - delta
-        delta += d
-    delta = d - m
-    while delta < reach:
-        total += reach - delta
-        delta += d
-    return total
+def _check_index(index: int, cap: int) -> None:
+    if index > cap:
+        raise IndexCapExceeded(f"pattern has {index} cosets, above the cap of {cap}")
+
+
+def _reduce(basis: tuple[tuple[int, ...], ...], residue: list[int]) -> list[int]:
+    """Reduce residue in place to the box representative of its coset.
+
+    For i from n-1 down to 0, subtract the multiple of Hermite column i that
+    brings coordinate i into [0, basis[i][i]); zero exactly on the lattice.
+    """
+    for i in range(len(residue) - 1, -1, -1):
+        q = residue[i] // basis[i][i]
+        if q:
+            for k in range(i + 1):
+                residue[k] -= q * basis[i][k]
+    return residue
+
+
+def _coset_histogram(
+    t: int, basis: tuple[tuple[int, ...], ...], last: Optional[int] = None
+) -> dict[tuple[int, ...], list[int]]:
+    """Reception of every coset of the lattice, from one pass over B_n(t-1).
+
+    Offset off delivers t - |off| to each point of the coset of -off. The
+    offsets are walked coordinate n-1 down to 1, carrying their reduction,
+    and each row of coordinate 0 goes whole into a list of basis[0][0]
+    buckets keyed by the reduced coordinates 1..n-1: the reception at p is
+    hist[key][k] for the reduction (k, *key) of -p, and a coset no offset
+    reaches has no list. `last` keeps only offsets whose coordinate n-1 is it.
+    """
+    n, d = len(basis), basis[0][0]
+    hist: dict[tuple[int, ...], list[int]] = {}
+
+    def walk(level: int, reach: int, residue: list[int]) -> None:
+        if level == 0:
+            key, shift = tuple(residue[1:]), residue[0]
+            row = hist.get(key) or hist.setdefault(key, [0] * d)
+            for x in range(1 - reach, reach):
+                row[(shift + x) % d] += reach - abs(x)
+            return
+        top = level == n - 1 and last is not None
+        for x in (last,) if top else range(1 - reach, reach):
+            partial = residue.copy()
+            partial[level] += x
+            walk(level - 1, reach - abs(x), _reduce(basis, partial))
+
+    walk(n - 1, t, [0] * n)
+    return hist
+
+
+def _tower_buckets(
+    params: Params, pattern: TowerPattern, last: Optional[int] = None
+) -> list[int]:
+    # One list of d buckets; bucket k holds the reception at column -k mod d.
+    _check_index(pattern.d, DEFAULT_INDEX_CAP)
+    basis = ((pattern.d, 0), (pattern.e, 1))
+    (row,) = _coset_histogram(params.t, basis, last).values()
+    return row
 
 
 def tower_reception(params: Params, pattern: TowerPattern, i: int) -> int:
     """Total reception at column i of row 0, one value per residue class.
 
     Row y contributes through its broadcasts at x = y*e (mod d); each one
-    within horizontal reach t - |y| adds its remaining strength.
+    within horizontal reach t - |y| adds its remaining strength. Like
+    reception_table and is_dominating_tower, refuses d > DEFAULT_INDEX_CAP.
     """
     if not 0 <= i < pattern.d:
         raise ValueError(f"column must satisfy 0 <= i < {pattern.d}")
-    t = params.t
-    total = 0
-    for y in range(-(t - 1), t):
-        reach = t - abs(y)
-        m = (i - y * pattern.e) % pattern.d
-        total += _row_contribution(reach, pattern.d, m)
-    return total
+    return _tower_buckets(params, pattern)[-i % pattern.d]
 
 
 def reception_table(params: Params, pattern: TowerPattern) -> ReceptionProfile:
@@ -94,24 +136,17 @@ def reception_table(params: Params, pattern: TowerPattern) -> ReceptionProfile:
     Rows are listed with y descending from t-1 to -(t-1); summing the rows
     column-wise gives the receptions field.
     """
-    t = params.t
-    d = pattern.d
     rows = []
-    for y in range(t - 1, -t, -1):
-        reach = t - abs(y)
-        vec = tuple(
-            _row_contribution(reach, d, (i - y * pattern.e) % d) for i in range(d)
-        )
-        rows.append((y, vec))
-    totals = tuple(sum(vec[i] for _, vec in rows) for i in range(d))
+    for y in range(params.t - 1, -params.t, -1):
+        buckets = _tower_buckets(params, pattern, y)
+        rows.append((y, tuple(buckets[:1] + buckets[:0:-1])))
+    totals = tuple(map(sum, zip(*(vec for _, vec in rows))))
     return ReceptionProfile(str(pattern), totals, tuple(rows))
 
 
 def is_dominating_tower(params: Params, pattern: TowerPattern) -> bool:
     """Whether every lattice point receives at least r from the tower."""
-    return all(
-        tower_reception(params, pattern, i) >= params.r for i in range(pattern.d)
-    )
+    return min(_tower_buckets(params, pattern)) >= params.r
 
 
 def min_density_search(params: Params) -> TowerPattern:
@@ -197,14 +232,7 @@ class SublatticePattern:
         """Whether the point lies on the sublattice."""
         if len(point) != self.n:
             raise ValueError(f"point must have {self.n} coordinates")
-        residue = list(point)
-        for i in range(self.n - 1, -1, -1):
-            q, rem = divmod(residue[i], self.basis[i][i])
-            if rem:
-                return False
-            for k in range(i + 1):
-                residue[k] -= q * self.basis[i][k]
-        return True
+        return not any(_reduce(self.basis, list(point)))
 
     def coset_representatives(self) -> tuple[LatticePoint, ...]:
         """One point per coset: the box spanned by the basis diagonals."""
@@ -224,16 +252,12 @@ def lattice_receptions(
 
     Reception is constant on cosets, so this is the complete profile.
     """
-    t = params.t
-    shells = [(t - d, shell_enumerate(pattern.n, d)) for d in range(t)]
+    hist = _coset_histogram(params.t, pattern.basis)
     out: dict[LatticePoint, int] = {}
     for rep in pattern.coset_representatives():
-        total = 0
-        for weight, offsets in shells:
-            for off in offsets:
-                if pattern.contains(tuple(a + b for a, b in zip(rep, off))):
-                    total += weight
-        out[rep] = total
+        k, *key = _reduce(pattern.basis, [-x for x in rep])
+        row = hist.get(tuple(key))
+        out[rep] = row[k] if row else 0
     return out
 
 
@@ -244,29 +268,14 @@ def is_dominating_lattice(
 ) -> bool:
     """Whether every point of Z^n receives at least r from the pattern.
 
-    Checks one representative per coset and stops counting a representative
-    as soon as it reaches r. Refuses patterns with more than index_cap
-    cosets.
+    Every coset's bucket must exist and hold at least r. Refuses patterns
+    with more than index_cap cosets.
     """
-    if pattern.index > index_cap:
-        raise IndexCapExceeded(
-            f"pattern has {pattern.index} cosets, above the cap of {index_cap}"
-        )
-    t, r = params.t, params.r
-    shells = [(t - d, shell_enumerate(pattern.n, d)) for d in range(t)]
-    for rep in pattern.coset_representatives():
-        total = 0
-        for weight, offsets in shells:
-            for off in offsets:
-                if pattern.contains(tuple(a + b for a, b in zip(rep, off))):
-                    total += weight
-                    if total >= r:
-                        break
-            if total >= r:
-                break
-        if total < r:
-            return False
-    return True
+    _check_index(pattern.index, index_cap)
+    hist = _coset_histogram(params.t, pattern.basis)
+    return len(hist) * pattern.basis[0][0] == pattern.index and all(
+        min(row) >= params.r for row in hist.values()
+    )
 
 
 def lattice_reception_table(

@@ -82,6 +82,39 @@ def window_tower_receptions(t: int, r: int, d: int, e: int) -> list[int]:
     return out
 
 
+def brute_lattice_receptions(t: int, basis) -> dict:
+    """Reception at each point of the box prod(range(basis[j][j])).
+
+    basis lists the columns of an upper-triangular integer basis with a
+    positive diagonal (column j is zero below row j), as a Hermite normal
+    form is. For each box point p the lattice points m.B in the window
+    |x_j - p_j| < t are listed coordinate by coordinate from the last:
+    coordinate j of m.B is m_j * basis[j][j] plus a part already fixed by
+    m_{j+1}, .., so m_j runs over the integers that keep it in the window.
+    Every listed point within L1 distance t - 1 of p adds its strength.
+    """
+    n = len(basis)
+    out = {}
+    for p in itertools.product(*(range(basis[j][j]) for j in range(n))):
+        tails = [()]
+        for j in range(n - 1, -1, -1):
+            grown = []
+            for tail in tails:
+                fixed = sum(m * basis[j + 1 + k][j] for k, m in enumerate(tail))
+                lo = -((fixed - p[j] + t - 1) // basis[j][j])
+                hi = (p[j] + t - 1 - fixed) // basis[j][j]
+                grown.extend((m, *tail) for m in range(lo, hi + 1))
+            tails = grown
+        total = 0
+        for m in tails:
+            x = [sum(m[k] * basis[k][i] for k in range(n)) for i in range(n)]
+            dist = sum(abs(a - b) for a, b in zip(x, p))
+            if dist < t:
+                total += t - dist
+        out[p] = total
+    return out
+
+
 def window_coverage(n: int, t: int, r: int) -> int:
     """Unwasted reception of one broadcast, summed point by point."""
     total = 0

@@ -127,6 +127,13 @@ def test_tower_check_exit_codes(capsys):
     assert "does not dominate" in out
 
 
+def test_tower_commands_respect_index_cap(capsys):
+    for command in ("tower-check", "tower-table"):
+        code, out, err = run(capsys, command, "4", "2", "1000001", "5")
+        assert code == 2 and out == ""
+        assert err == "error: pattern has 1000001 cosets, above the cap of 1000000\n"
+
+
 def test_tower_table_layout(capsys):
     code, out, _ = run(capsys, "tower-table", "4", "2", "18", "5")
     assert code == 0

@@ -1,8 +1,13 @@
 """Tower and sublattice pattern verification against windowed oracles."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from broadcastdom import (
+    DEFAULT_INDEX_CAP,
     IndexCapExceeded,
     Params,
     SublatticePattern,
@@ -23,8 +28,12 @@ from _cases import (
     TOWER_18_5_ROWS,
     TOWER_18_5_SUM,
     TOWER_CASES,
+    brute_lattice_receptions,
     window_tower_receptions,
 )
+
+# Property tests draw the same examples on every run and keep no database.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def test_tower_pattern_validation():
@@ -206,3 +215,58 @@ def test_lattice_search_3d_half_reuse():
 def test_lattice_search_3d_cap_validation():
     with pytest.raises(ValueError):
         lattice_search_3d(Params(2, 1), index_cap=0)
+
+
+def test_tower_index_cap():
+    params, pattern = Params(4, 2), TowerPattern(DEFAULT_INDEX_CAP + 1, 5)
+    with pytest.raises(IndexCapExceeded):
+        tower_reception(params, pattern, 0)
+    with pytest.raises(IndexCapExceeded):
+        reception_table(params, pattern)
+    with pytest.raises(IndexCapExceeded):
+        is_dominating_tower(params, pattern)
+
+
+@st.composite
+def hermite_bases(draw):
+    """Column Hermite bases of Z^n, n in {2, 3, 4}, with index at most 16."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    diag = draw(
+        st.lists(st.integers(1, 4), min_size=n, max_size=n).filter(
+            lambda ds: math.prod(ds) <= 16
+        )
+    )
+    cols = []
+    for j in range(n):
+        above = [draw(st.integers(0, diag[i] - 1)) for i in range(j)]
+        cols.append(tuple(above + [diag[j]] + [0] * (n - 1 - j)))
+    return tuple(cols)
+
+
+@PROPERTY
+@given(hermite_bases(), st.integers(1, 5), st.data())
+def test_lattice_kernel_matches_brute_oracle(basis, t, data):
+    r = data.draw(st.integers(1, t), label="r")
+    # adding a multiple of one column to another leaves the lattice alone
+    k = data.draw(st.integers(-2, 2), label="k")
+    mixed = (tuple(a + k * b for a, b in zip(basis[0], basis[1])), *basis[1:])
+    params, pattern = Params(t, r), SublatticePattern(mixed)
+    assert pattern.basis == basis
+    expected = brute_lattice_receptions(t, basis)
+    assert list(lattice_receptions(params, pattern).items()) == list(expected.items())
+    assert is_dominating_lattice(params, pattern) == (min(expected.values()) >= r)
+
+
+@PROPERTY
+@given(st.integers(1, 7), st.data())
+def test_tower_kernel_matches_window_oracle(t, data):
+    r = data.draw(st.integers(1, t), label="r")
+    d = data.draw(st.integers(1, 60), label="d")
+    e = data.draw(st.integers(0, d - 1), label="e")
+    params, pattern = Params(t, r), TowerPattern(d, e)
+    expected = window_tower_receptions(t, r, d, e)
+    assert [tower_reception(params, pattern, i) for i in range(d)] == expected
+    profile = reception_table(params, pattern)
+    assert list(profile.receptions) == expected
+    assert [y for y, _ in profile.rows] == list(range(t - 1, -t, -1))
+    assert is_dominating_tower(params, pattern) == (min(expected) >= r)
