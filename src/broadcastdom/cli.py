@@ -7,6 +7,12 @@ carries a timestamp that --no-timestamp suppresses, making reruns
 byte-identical. Unbounded counts are serialized as decimal strings so no
 consumer is tempted to push them through floating point. Progress chatter
 goes to stderr only.
+
+Each command hands one json payload and one text block to `_emit`; csv
+carries the payload's scalar fields under a header of their names (one row
+per table3 cell or vizing-scan pair). Only shell --enumerate, genfunc,
+bijection, tower-table and lattice-check write their own csv rows, because
+their csv lays the data out differently from their json.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import json
 import multiprocessing
 import os
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from io import StringIO
 from typing import Optional, Sequence
@@ -80,22 +87,30 @@ def _parse_basis(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(cols)
 
 
-def _emit(args, command: str, payload: dict, csv_data, text: str) -> None:
-    """Write the report in the chosen format to stdout or --output."""
+def _pick(records, columns) -> list[list]:
+    """One csv row per record: its values under `columns`, in order."""
+    return [[record[col] for col in columns] for record in records]
+
+
+def _emit(args, payload: dict, text: str, columns, rows=None) -> None:
+    """Write the report in the chosen format to stdout or --output.
+
+    json is the payload under the subcommand name; csv is the `columns`
+    header over `rows`, which default to the payload's own values of those
+    columns as one row.
+    """
     if args.format == "json":
-        envelope = {"command": command}
-        envelope.update(payload)
+        envelope = {"command": args.command, **payload}
         if not args.no_timestamp:
             envelope["generated_at"] = datetime.now(timezone.utc).isoformat()
         body = json.dumps(envelope, indent=2) + "\n"
     elif args.format == "csv":
         import csv as _csv
 
-        header, rows = csv_data
         buf = StringIO()
         writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows(_pick([payload], columns) if rows is None else rows)
         body = buf.getvalue()
     else:
         body = text if text.endswith("\n") else text + "\n"
@@ -113,26 +128,23 @@ def _point_str(point) -> str:
 def _cmd_shell(args) -> int:
     size = shell_size(args.n, args.d)
     payload: dict = {"n": args.n, "d": args.d, "size": str(size)}
-    rows = [[args.n, args.d, str(size)]]
+    columns = ["n", "d", "size"]
+    rows = None
     text = str(size)
     if args.enumerate:
         points = shell_enumerate(args.n, args.d, cap=args.cap)
         payload["points"] = [list(p) for p in points]
+        columns.append("point")
         rows = [[args.n, args.d, str(size), _point_str(p)] for p in points]
         text = "\n".join(_point_str(p) for p in points) or "(no points)"
-        _emit(args, "shell", payload, (["n", "d", "size", "point"], rows), text)
-    else:
-        _emit(args, "shell", payload, (["n", "d", "size"], rows), text)
+    _emit(args, payload, text, columns, rows)
     return EXIT_OK
 
 
 def _cmd_ball(args) -> int:
     size = ball_size(args.n, args.d)
     payload = {"n": args.n, "d": args.d, "size": str(size)}
-    _emit(
-        args, "ball", payload,
-        (["n", "d", "size"], [[args.n, args.d, str(size)]]), str(size),
-    )
+    _emit(args, payload, str(size), ["n", "d", "size"])
     return EXIT_OK
 
 
@@ -156,7 +168,7 @@ def _cmd_genfunc(args) -> int:
         header = ["index", "coefficient"]
         rows = [[i, str(c)] for i, c in enumerate(coeffs)]
         text = " ".join(str(c) for c in coeffs)
-    _emit(args, "genfunc", payload, (header, rows), text)
+    _emit(args, payload, text, header, rows)
     return EXIT_OK
 
 
@@ -177,10 +189,8 @@ def _cmd_bijection(args) -> int:
     }
     text = f"{_point_str(point)} -> {_point_str(image)}"
     _emit(
-        args, "bijection", payload,
-        (["point", "n", "d", "image"],
-         [[_point_str(point), args.n, args.d, _point_str(image)]]),
-        text,
+        args, payload, text, ["point", "n", "d", "image"],
+        [[_point_str(point), args.n, args.d, _point_str(image)]],
     )
     return EXIT_OK
 
@@ -188,10 +198,7 @@ def _cmd_bijection(args) -> int:
 def _cmd_delannoy(args) -> int:
     value = delannoy(args.m, args.k)
     payload = {"m": args.m, "k": args.k, "value": str(value)}
-    _emit(
-        args, "delannoy", payload,
-        (["m", "k", "value"], [[args.m, args.k, str(value)]]), str(value),
-    )
+    _emit(args, payload, str(value), ["m", "k", "value"])
     return EXIT_OK
 
 
@@ -207,12 +214,7 @@ def _cmd_coverage(args) -> int:
         "n": args.n, "t": args.t, "r": args.r,
         "coverage": str(value), "method": method,
     }
-    _emit(
-        args, "coverage", payload,
-        (["n", "t", "r", "coverage", "method"],
-         [[args.n, args.t, args.r, str(value), method]]),
-        str(value),
-    )
+    _emit(args, payload, str(value), ["n", "t", "r", "coverage", "method"])
     return EXIT_OK
 
 
@@ -226,13 +228,9 @@ def _cmd_lower_bound(args) -> int:
         "volume": str(grid.volume), "coverage": str(cov),
         "lower_bound": str(bound),
     }
-    _emit(
-        args, "lower-bound", payload,
-        (["dims", "t", "r", "volume", "coverage", "lower_bound"],
-         [["x".join(map(str, grid.dims)), args.t, args.r,
-           str(grid.volume), str(cov), str(bound)]]),
-        str(bound),
-    )
+    columns = ["dims", "t", "r", "volume", "coverage", "lower_bound"]
+    flat = {**payload, "dims": "x".join(map(str, grid.dims))}
+    _emit(args, payload, str(bound), columns, _pick([flat], columns))
     return EXIT_OK
 
 
@@ -240,11 +238,7 @@ def _cmd_max_d(args) -> int:
     params = Params(args.t, args.r)
     value = max_potential_d(args.n, params)
     payload = {"n": args.n, "t": args.t, "r": args.r, "max_d": str(value)}
-    _emit(
-        args, "max-d", payload,
-        (["n", "t", "r", "max_d"], [[args.n, args.t, args.r, str(value)]]),
-        str(value),
-    )
+    _emit(args, payload, str(value), ["n", "t", "r", "max_d"])
     return EXIT_OK
 
 
@@ -263,12 +257,7 @@ def _cmd_tower_check(args) -> int:
         f"{pattern} {verdict} under ({args.t},{args.r})\n"
         f"receptions: {' '.join(map(str, receptions))}"
     )
-    _emit(
-        args, "tower-check", payload,
-        (["t", "r", "d", "e", "dominating", "min_reception"],
-         [[args.t, args.r, args.d, args.e, dominating, min(receptions)]]),
-        text,
-    )
+    _emit(args, payload, text, ["t", "r", "d", "e", "dominating", "min_reception"])
     return EXIT_OK if dominating else EXIT_FALSE
 
 
@@ -301,7 +290,7 @@ def _cmd_tower_table(args) -> int:
     header = ["y"] + [str(i) for i in range(args.d)]
     rows = [[y, *vec] for y, vec in profile.rows]
     rows.append(["Sum", *profile.receptions])
-    _emit(args, "tower-table", payload, (header, rows), _table_text(profile))
+    _emit(args, payload, _table_text(profile), header, rows)
     return EXIT_OK
 
 
@@ -313,12 +302,7 @@ def _cmd_tower_search(args) -> int:
         "t": args.t, "r": args.r, "pattern": str(pattern),
         "d": pattern.d, "e": pattern.e, "max_potential_d": str(ceiling),
     }
-    _emit(
-        args, "tower-search", payload,
-        (["t", "r", "d", "e", "max_potential_d"],
-         [[args.t, args.r, pattern.d, pattern.e, str(ceiling)]]),
-        str(pattern),
-    )
+    _emit(args, payload, str(pattern), ["t", "r", "d", "e", "max_potential_d"])
     return EXIT_OK
 
 
@@ -333,17 +317,10 @@ def _cmd_table3(args) -> int:
         raise ValueError("--tmax must be at least 1")
     cells = [(t, r) for t in range(1, args.tmax + 1) for r in range(1, t + 1)]
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    parallel = threads > 1 and len(cells) > 1
     results = []
-    if threads > 1 and len(cells) > 1:
-        with multiprocessing.Pool(processes=threads) as pool:
-            for entry in pool.imap(_table3_cell, cells):
-                print(
-                    f"t={entry[0]} r={entry[1]} d={entry[2]}", file=sys.stderr
-                )
-                results.append(entry)
-    else:
-        for cell in cells:
-            entry = _table3_cell(cell)
+    with multiprocessing.Pool(processes=threads) if parallel else nullcontext() as pool:
+        for entry in (pool.imap if parallel else map)(_table3_cell, cells):
             print(f"t={entry[0]} r={entry[1]} d={entry[2]}", file=sys.stderr)
             results.append(entry)
     payload = {
@@ -352,8 +329,6 @@ def _cmd_table3(args) -> int:
             {"t": t, "r": r, "d": d, "e": e} for t, r, d, e in results
         ],
     }
-    header = ["t", "r", "d", "e"]
-    rows = [[t, r, d, e] for t, r, d, e in results]
     by_t: dict[int, dict[int, int]] = {}
     for t, r, d, _ in results:
         by_t.setdefault(t, {})[r] = d
@@ -366,7 +341,8 @@ def _cmd_table3(args) -> int:
             str(t).ljust(4)
             + "".join(str(by_t[t][r]).rjust(width) for r in range(1, t + 1))
         )
-    _emit(args, "table3", payload, (header, rows), "\n".join(lines))
+    columns = ["t", "r", "d", "e"]
+    _emit(args, payload, "\n".join(lines), columns, _pick(payload["cells"], columns))
     return EXIT_OK
 
 
@@ -391,7 +367,7 @@ def _cmd_lattice_check(args) -> int:
     verdict = "dominates" if dominating else "does not dominate"
     lines = [f"{pattern} (index {pattern.index}) {verdict} under ({args.t},{args.r})"]
     lines.extend(f"{_point_str(rep)}: {val}" for rep, val in receptions.items())
-    _emit(args, "lattice-check", payload, (header, rows), "\n".join(lines))
+    _emit(args, payload, "\n".join(lines), header, rows)
     return EXIT_OK if dominating else EXIT_FALSE
 
 
@@ -406,13 +382,7 @@ def _cmd_lattice_search3d(args) -> int:
         "e1": pattern.basis[1][0],
         "e2": pattern.basis[2][0],
     }
-    _emit(
-        args, "lattice-search3d", payload,
-        (["t", "r", "d", "e1", "e2"],
-         [[args.t, args.r, pattern.basis[0][0], pattern.basis[1][0],
-           pattern.basis[2][0]]]),
-        str(pattern),
-    )
+    _emit(args, payload, str(pattern), ["t", "r", "d", "e1", "e2"])
     return EXIT_OK
 
 
@@ -452,46 +422,32 @@ def _cmd_gamma(args) -> int:
         "expr": args.expr, "t": args.t, "r": args.r,
         "status": result.status,
         "gamma": result.gamma,
-        "witness": (
-            None if result.witness is None
-            else [list(w) if isinstance(w, tuple) else w for w in result.witness]
-        ),
+        "witness": result.witness,  # json writes label tuples as arrays
         "upper_bound": result.upper_bound,
         "nodes": result.nodes,
         "components": result.components,
     }
-    row = [
-        args.expr, args.t, args.r, result.status, result.gamma,
-        " ".join(map(str, result.witness)) if result.witness else "",
-        result.upper_bound, result.nodes, result.components,
-    ]
-    if result.status != "exact":
+    exact = result.status == "exact"
+    if exact:
+        lines = [
+            f"gamma({args.expr}, t={args.t}, r={args.r}) = {result.gamma}",
+            "witness: " + " ".join(map(str, result.witness)),
+        ]
+        receptions = reception_map(graph, result.witness, args.t)
+        grid = _grid_text(graph, receptions, result.witness)
+        if grid is not None:
+            lines.append(grid)
+        text = "\n".join(lines)
+    else:
         text = (
             f"cap exceeded after {result.nodes} nodes; "
             f"best known upper bound {result.upper_bound}"
         )
-        _emit(
-            args, "gamma", payload,
-            (["expr", "t", "r", "status", "gamma", "witness", "upper_bound",
-              "nodes", "components"], [row]),
-            text,
-        )
-        return EXIT_ERROR
-    lines = [
-        f"gamma({args.expr}, t={args.t}, r={args.r}) = {result.gamma}",
-        "witness: " + " ".join(map(str, result.witness)),
-    ]
-    receptions = reception_map(graph, result.witness, args.t)
-    grid = _grid_text(graph, receptions, result.witness)
-    if grid is not None:
-        lines.append(grid)
-    _emit(
-        args, "gamma", payload,
-        (["expr", "t", "r", "status", "gamma", "witness", "upper_bound",
-          "nodes", "components"], [row]),
-        "\n".join(lines),
-    )
-    return EXIT_OK
+    columns = ["expr", "t", "r", "status", "gamma", "witness", "upper_bound",
+               "nodes", "components"]
+    flat = {**payload, "witness": " ".join(map(str, result.witness or ()))}
+    _emit(args, payload, text, columns, _pick([flat], columns))
+    return EXIT_OK if exact else EXIT_ERROR
 
 
 def _cmd_verify_lemma2(args) -> int:
@@ -526,12 +482,7 @@ def _cmd_verify_lemma2(args) -> int:
     else:
         text = f"C_{report.n} under ({report.t},{report.r}): failed"
         code = EXIT_FALSE
-    _emit(
-        args, "verify-lemma2", payload,
-        (["t", "r", "n", "status", "gamma"],
-         [[report.t, report.r, report.n, payload["status"], report.gamma]]),
-        text,
-    )
+    _emit(args, payload, text, ["t", "r", "n", "status", "gamma"])
     return code
 
 
@@ -544,13 +495,11 @@ def _cmd_verify_torus(args) -> int:
         "gamma_cycle": report.gamma_cycle,
         "squared_bound": report.squared_bound,
         "violates_product_bound": report.violates_product_bound,
-        "canonical_witness": [list(w) for w in report.canonical_witness],
+        "canonical_witness": report.canonical_witness,
         "canonical_dominates": report.canonical_dominates,
         "min_reception": report.min_reception,
         "expected_min_reception": report.expected_min_reception,
-        "min_reception_vertices": [
-            list(v) for v in report.min_reception_vertices
-        ],
+        "min_reception_vertices": report.min_reception_vertices,
         "passed": report.passed,
     }
     text = (
@@ -560,13 +509,8 @@ def _cmd_verify_torus(args) -> int:
         f"(expected {report.expected_min_reception}): "
         + ("passed" if report.passed else "failed")
     )
-    _emit(
-        args, "verify-torus", payload,
-        (["t", "r", "n", "gamma_torus", "gamma_cycle", "min_reception", "passed"],
-         [[report.t, report.r, report.n, report.gamma_torus, report.gamma_cycle,
-           report.min_reception, report.passed]]),
-        text,
-    )
+    columns = ["t", "r", "n", "gamma_torus", "gamma_cycle", "min_reception", "passed"]
+    _emit(args, payload, text, columns)
     return EXIT_OK if report.passed else EXIT_FALSE
 
 
@@ -603,19 +547,6 @@ def _cmd_vizing_scan(args) -> int:
             for rep in reports
         ],
     }
-    header = [
-        "g", "h", "status", "gamma_g", "gamma_h", "gamma_product",
-        "gamma_g_t1", "gamma_h_t1", "gamma_product_t1",
-        "halved_product_holds_gh", "halved_product_holds_hg",
-        "distance_product_holds",
-    ]
-    rows = [
-        [rep.expr_g, rep.expr_h, rep.status, rep.gamma_g, rep.gamma_h,
-         rep.gamma_product, rep.gamma_g_t1, rep.gamma_h_t1,
-         rep.gamma_product_t1, rep.halved_product_holds_gh,
-         rep.halved_product_holds_hg, rep.distance_product_holds]
-        for rep in reports
-    ]
     lines = []
     for rep in reports:
         if rep.status != "exact":
@@ -628,19 +559,15 @@ def _cmd_vizing_scan(args) -> int:
             f"halved(H,G)={'holds' if rep.halved_product_holds_hg else 'FAILS'} "
             f"distance={'holds' if rep.distance_product_holds else 'FAILS'}"
         )
-    _emit(args, "vizing-scan", payload, (header, rows), "\n".join(lines))
+    columns = list(payload["pairs"][0])
+    _emit(args, payload, "\n".join(lines), columns, _pick(payload["pairs"], columns))
     if any(rep.status != "exact" for rep in reports):
         return EXIT_ERROR
-    verdicts = [
-        v
-        for rep in reports
-        for v in (
-            rep.halved_product_holds_gh,
-            rep.halved_product_holds_hg,
-            rep.distance_product_holds,
-        )
-    ]
-    return EXIT_OK if all(verdicts) else EXIT_FALSE
+    holds = all(
+        rep.halved_product_holds_gh and rep.halved_product_holds_hg
+        and rep.distance_product_holds for rep in reports
+    )
+    return EXIT_OK if holds else EXIT_FALSE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -671,166 +598,87 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("shell", parents=[common], help="size of the L1 shell S_n(d)")
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int)
+    def command(name, func, help, ints=""):
+        # One subcommand with the shared flags and the int positionals `ints`.
+        p = sub.add_parser(name, parents=[common], help=help)
+        for dest in ints.split():
+            p.add_argument(dest, type=int)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("shell", _cmd_shell, "size of the L1 shell S_n(d)", "n d")
     p.add_argument("--enumerate", action="store_true", help="list the points too")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    p.set_defaults(func=_cmd_shell)
 
-    p = sub.add_parser("ball", parents=[common], help="size of the L1 ball B_n(d)")
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int)
-    p.set_defaults(func=_cmd_ball)
+    command("ball", _cmd_ball, "size of the L1 ball B_n(d)", "n d")
 
-    p = sub.add_parser(
-        "genfunc", parents=[common],
-        help="generating function coefficients for shells and balls",
-    )
+    p = command("genfunc", _cmd_genfunc,
+                "generating function coefficients for shells and balls")
     p.add_argument("kind", choices=GENFUNC_KINDS)
     p.add_argument("--fixed", type=int, default=None,
                    help="the fixed d or n for univariate kinds")
     p.add_argument("--max", dest="max_index", type=int, required=True,
                    help="largest coefficient index")
-    p.set_defaults(func=_cmd_genfunc)
 
-    p = sub.add_parser(
-        "bijection", parents=[common],
-        help="image of a point under the B_n(d) -> B_d(n) bijection",
-    )
+    p = command("bijection", _cmd_bijection,
+                "image of a point under the B_n(d) -> B_d(n) bijection")
     p.add_argument("--point", required=True, help="comma-separated coordinates")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=_cmd_bijection)
 
-    p = sub.add_parser("delannoy", parents=[common], help="Delannoy number D(m, k)")
-    p.add_argument("m", type=int)
-    p.add_argument("k", type=int)
-    p.set_defaults(func=_cmd_delannoy)
+    command("delannoy", _cmd_delannoy, "Delannoy number D(m, k)", "m k")
 
-    p = sub.add_parser(
-        "coverage", parents=[common],
-        help="unwasted reception of one broadcast over Z^n",
-    )
-    p.add_argument("n", type=int)
-    p.add_argument("t", type=int)
-    p.add_argument("r", type=int)
+    p = command("coverage", _cmd_coverage,
+                "unwasted reception of one broadcast over Z^n", "n t r")
     p.add_argument("--closed-form", action="store_true",
                    help="evaluate the closed-form polynomial (n <= 4)")
-    p.set_defaults(func=_cmd_coverage)
 
-    p = sub.add_parser(
-        "lower-bound", parents=[common],
-        help="coverage lower bound on gamma for a finite grid",
-    )
+    p = command("lower-bound", _cmd_lower_bound,
+                "coverage lower bound on gamma for a finite grid", "t r")
     p.add_argument("--dims", required=True, help="side lengths, e.g. 5,5")
-    p.add_argument("t", type=int)
-    p.add_argument("r", type=int)
-    p.set_defaults(func=_cmd_lower_bound)
 
-    p = sub.add_parser(
-        "max-d", parents=[common],
-        help="largest candidate pattern period per the coverage bound",
-    )
-    p.add_argument("n", type=int)
-    p.add_argument("t", type=int)
-    p.add_argument("r", type=int)
-    p.set_defaults(func=_cmd_max_d)
+    command("max-d", _cmd_max_d,
+            "largest candidate pattern period per the coverage bound", "n t r")
+    command("tower-check", _cmd_tower_check,
+            "verify whether the tower T(d,e) dominates under (t,r)", "t r d e")
+    command("tower-table", _cmd_tower_table,
+            "per-row reception table of a tower pattern", "t r d e")
+    command("tower-search", _cmd_tower_search,
+            "sparsest dominating tower pattern for (t,r)", "t r")
 
-    p = sub.add_parser(
-        "tower-check", parents=[common],
-        help="verify whether the tower T(d,e) dominates under (t,r)",
-    )
-    p.add_argument("t", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("e", type=int)
-    p.set_defaults(func=_cmd_tower_check)
-
-    p = sub.add_parser(
-        "tower-table", parents=[common],
-        help="per-row reception table of a tower pattern",
-    )
-    p.add_argument("t", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("e", type=int)
-    p.set_defaults(func=_cmd_tower_table)
-
-    p = sub.add_parser(
-        "tower-search", parents=[common],
-        help="sparsest dominating tower pattern for (t,r)",
-    )
-    p.add_argument("t", type=int)
-    p.add_argument("r", type=int)
-    p.set_defaults(func=_cmd_tower_search)
-
-    p = sub.add_parser(
-        "table3", parents=[common],
-        help="minimum tower densities for all 1 <= r <= t <= tmax",
-    )
+    p = command("table3", _cmd_table3,
+                "minimum tower densities for all 1 <= r <= t <= tmax")
     p.add_argument("--tmax", type=int, default=9)
-    p.set_defaults(func=_cmd_table3)
 
-    p = sub.add_parser(
-        "lattice-check", parents=[common],
-        help="verify whether a sublattice pattern dominates under (t,r)",
-    )
-    p.add_argument("t", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("--basis", required=True,
-                   help="basis columns, e.g. 18,0;5,1")
+    p = command("lattice-check", _cmd_lattice_check,
+                "verify whether a sublattice pattern dominates under (t,r)", "t r")
+    p.add_argument("--basis", required=True, help="basis columns, e.g. 18,0;5,1")
     p.add_argument("--index-cap", type=int, default=DEFAULT_INDEX_CAP)
-    p.set_defaults(func=_cmd_lattice_check)
 
-    p = sub.add_parser(
-        "lattice-search3d", parents=[common],
-        help="sparsest dominating tower-form pattern in Z^3",
-    )
-    p.add_argument("t", type=int)
-    p.add_argument("r", type=int)
+    p = command("lattice-search3d", _cmd_lattice_search3d,
+                "sparsest dominating tower-form pattern in Z^3", "t r")
     p.add_argument("--cap", type=int, default=DEFAULT_INDEX_CAP,
                    help="largest pattern index to try")
-    p.set_defaults(func=_cmd_lattice_search3d)
 
-    p = sub.add_parser(
-        "gamma", parents=[common],
-        help="exact minimum dominating set of a small graph",
-    )
+    p = command("gamma", _cmd_gamma, "exact minimum dominating set of a small graph")
     p.add_argument("expr", help="graph expression, e.g. P5*P5 or C4*C4")
     p.add_argument("t", type=int)
     p.add_argument("r", type=int)
     p.add_argument("--size-cap", type=int, default=None)
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.set_defaults(func=_cmd_gamma)
 
-    p = sub.add_parser(
-        "verify-lemma2", parents=[common],
-        help="check the two-broadcast domination of the cycle C_{2(t-r+1)}",
-    )
-    p.add_argument("t", type=int)
-    p.add_argument("r", type=int)
-    p.set_defaults(func=_cmd_verify_lemma2)
+    command("verify-lemma2", _cmd_verify_lemma2,
+            "check the two-broadcast domination of the cycle C_{2(t-r+1)}", "t r")
 
-    p = sub.add_parser(
-        "verify-torus", parents=[common],
-        help="check the torus product-bound violation for (t,r)",
-    )
-    p.add_argument("t", type=int)
-    p.add_argument("r", type=int)
+    p = command("verify-torus", _cmd_verify_torus,
+                "check the torus product-bound violation for (t,r)", "t r")
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.set_defaults(func=_cmd_verify_torus)
 
-    p = sub.add_parser(
-        "vizing-scan", parents=[common],
-        help="evaluate product inequalities over graph pairs from a file",
-    )
+    p = command("vizing-scan", _cmd_vizing_scan,
+                "evaluate product inequalities over graph pairs from a file", "t r")
     p.add_argument("--pairs", required=True,
                    help="file with one 'EXPR,EXPR' pair per line")
-    p.add_argument("t", type=int)
-    p.add_argument("r", type=int)
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.set_defaults(func=_cmd_vizing_scan)
 
     return parser
 

@@ -158,6 +158,9 @@ def test_table3_parallel_equals_sequential(capsys):
     par = run(capsys, "table3", "--tmax", "4", "--threads", "2")
     assert seq[0] == par[0] == 0
     assert seq[1] == par[1]
+    assert seq[2] == par[2]  # progress lines arrive in cell order either way
+    per_cpu = run(capsys, "table3", "--tmax", "4", "--threads", "0")
+    assert per_cpu == seq
 
 
 def test_table3_csv_rows(capsys):
