@@ -273,31 +273,30 @@ class GammaResult:
     components: int
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _greedy_witness(contrib: Sequence[Sequence[int]], r: int) -> list[int]:
+def _greedy_witness(
+    infl: Sequence[Sequence[tuple[int, int]]], r: int
+) -> list[int]:
     # Upper bound: repeatedly take the vertex that removes the most deficit.
-    n = len(contrib)
+    n = len(infl)
     deficits = [r] * n
     total = n * r
     chosen: list[int] = []
     while total > 0:
         best_u, best_gain = -1, 0
-        for u in range(n):
-            gain = sum(
-                min(deficits[v], c) for v, c in enumerate(contrib[u]) if c > 0
-            )
+        for u, row in enumerate(infl):
+            gain = 0
+            for v, c in row:
+                d = deficits[v]
+                gain += c if c < d else d
             if gain > best_gain:
                 best_u, best_gain = u, gain
         assert best_u >= 0
         chosen.append(best_u)
-        for v, c in enumerate(contrib[best_u]):
-            if c > 0:
-                cut = min(deficits[v], c)
-                deficits[v] -= cut
-                total -= cut
+        for v, c in infl[best_u]:
+            d = deficits[v]
+            cut = c if c < d else d
+            deficits[v] = d - cut
+            total -= cut
     return chosen
 
 
@@ -315,7 +314,8 @@ def gamma_exact(
     least minimum witness. Every vertex supplies itself t >= r, so a
     dominating set always exists and the search always terminates; size_cap
     and node_budget bound the effort and yield a cap-exceeded result when
-    hit.
+    hit. The search keeps its path on an explicit stack, so its depth is not
+    bounded by Python's recursion limit.
     """
     t, r = params.t, params.r
     dist = graph.distances()
@@ -324,82 +324,101 @@ def gamma_exact(
         [t - d if d is not None and d < t else 0 for d in row] for row in dist
     ]
     infl = [
-        [(v, c) for v, c in enumerate(row) if c > 0] for row in contrib
+        tuple((v, c) for v, c in enumerate(row) if c > 0) for row in contrib
     ]
     last_helper = [
         max(u for u in range(n) if contrib[u][v] > 0) for v in range(n)
     ]
+    # No vertex past the last helper of the most-constrained deficient vertex
+    # can complete a set, so hi is the last helper of the first deficient
+    # vertex in this order.
+    by_last_helper = sorted(range(n), key=last_helper.__getitem__)
     # maxc[s][v]: best single-vertex contribution to v from any u >= s.
-    maxc = [[0] * n for _ in range(n + 1)]
-    for s in range(n - 1, -1, -1):
-        for v in range(n):
-            maxc[s][v] = max(maxc[s + 1][v], contrib[s][v])
+    maxc = [[0] * n]
+    for row in reversed(contrib):
+        maxc.append(list(map(max, maxc[-1], row)))
+    maxc.reverse()
     power = [sum(row) for row in contrib]
     best_gain = [0] * (n + 1)
     for s in range(n - 1, -1, -1):
         best_gain[s] = max(best_gain[s + 1], power[s])
 
-    greedy = _greedy_witness(contrib, r)
+    greedy = _greedy_witness(infl, r)
     upper = len(greedy)
     limit = upper if size_cap is None else min(size_cap, upper)
 
     deficits = [r] * n
-    state = {"total": n * r, "nodes": 0}
-    found: list[int] = []
+    total = n * r
+    nodes = 0
 
-    def feasible(start: int, remaining: int) -> bool:
-        if state["total"] > remaining * best_gain[start]:
+    def feasible(total: int, start: int, remaining: int) -> bool:
+        if total > remaining * best_gain[start]:
             return False
-        row = maxc[start]
-        for v in range(n):
-            if deficits[v] > remaining * row[v]:
+        for d, c in zip(deficits, maxc[start]):
+            if d > remaining * c:
                 return False
         return True
 
-    def dfs(lo: int, remaining: int) -> bool:
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
-            raise _BudgetExhausted
-        # No later vertex can help the most-constrained deficient vertex, so
-        # candidates past that point are dead.
-        hi = min(last_helper[v] for v in range(n) if deficits[v] > 0)
-        for u in range(lo, hi + 1):
-            delta = []
-            for v, c in infl[u]:
-                cut = min(deficits[v], c)
-                if cut:
-                    deficits[v] -= cut
-                    state["total"] -= cut
-                    delta.append((v, cut))
-            if not delta:
-                # u helps no deficient vertex now or later; a minimum witness
-                # cannot contain it.
-                continue
-            if state["total"] == 0:
-                found.append(u)
-                return True
-            if remaining > 1 and feasible(u + 1, remaining - 1) and dfs(
-                u + 1, remaining - 1
-            ):
-                found.append(u)
-                return True
+    def first_hi() -> int:
+        for v in by_last_helper:
+            if deficits[v]:
+                return last_helper[v]
+        raise AssertionError("no deficient vertex")
+
+    for k in range(1, limit + 1):
+        if not feasible(total, 0, k):
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            break
+        # One frame (u, hi, delta) per chosen vertex: its index, the
+        # candidate bound of the node it was chosen at, and the deficit it
+        # removed. u and hi describe the node being expanded.
+        stack: list[tuple[int, int, list[tuple[int, int]]]] = []
+        u, hi = 0, first_hi()
+        while True:
+            if u > hi:
+                if not stack:
+                    break
+                # The node is spent: undo the choice that opened it.
+                u, hi, delta = stack.pop()
+            else:
+                delta = []
+                for v, c in infl[u]:
+                    d = deficits[v]
+                    if d:
+                        cut = c if c < d else d
+                        deficits[v] = d - cut
+                        total -= cut
+                        delta.append((v, cut))
+                if not delta:
+                    # u helps no deficient vertex now or later; a minimum
+                    # witness cannot contain it.
+                    u += 1
+                    continue
+                if total == 0:
+                    # Frames hold increasing indices, so this is sorted.
+                    chosen = [frame[0] for frame in stack] + [u]
+                    witness = tuple(graph.labels[i] for i in chosen)
+                    return GammaResult(
+                        "exact", k, witness, upper, nodes, graph.component_count
+                    )
+                remaining = k - len(stack)
+                if remaining > 1 and feasible(total, u + 1, remaining - 1):
+                    nodes += 1
+                    if nodes > node_budget:
+                        break
+                    stack.append((u, hi, delta))
+                    u, hi = u + 1, first_hi()
+                    continue
             for v, cut in delta:
                 deficits[v] += cut
-                state["total"] += cut
-        return False
-
-    try:
-        for k in range(1, limit + 1):
-            if feasible(0, k) and dfs(0, k):
-                witness = tuple(graph.labels[i] for i in sorted(found))
-                return GammaResult(
-                    "exact", k, witness, upper, state["nodes"],
-                    graph.component_count,
-                )
-    except _BudgetExhausted:
-        pass
+                total += cut
+            u += 1
+        if nodes > node_budget:
+            break
     return GammaResult(
-        "cap-exceeded", None, None, upper, state["nodes"], graph.component_count
+        "cap-exceeded", None, None, upper, nodes, graph.component_count
     )
 
 

@@ -209,6 +209,15 @@ def test_gamma_json_and_cap(capsys):
     assert code == 2
 
 
+def test_gamma_deep_search_exits_zero(capsys):
+    code, out, _ = run(capsys, "gamma", "P35*P35", "1", "1", "--format",
+                       "json", "--no-timestamp")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "exact"
+    assert doc["gamma"] == 1225
+
+
 def test_gamma_parse_error(capsys):
     code, _, err = run(capsys, "gamma", "P5*Q5", "2", "1")
     assert code == 2

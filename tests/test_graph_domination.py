@@ -1,6 +1,8 @@
 """Finite graphs: construction, parsing, exact gamma, and the verifiers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from broadcastdom import (
     FiniteGraph,
@@ -24,6 +26,9 @@ from _cases import (
     brute_gamma,
     brute_receptions,
 )
+
+# Property tests draw the same examples on every run and keep no database.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def test_finite_graph_validation():
@@ -160,6 +165,77 @@ def test_gamma_frozen_values():
         result = gamma_exact(parse_graph_expr(expr), Params(t, r))
         assert result.status == "exact"
         assert result.gamma == expected, (expr, t, r)
+
+
+# (expr, t, r) -> (gamma, nodes). The node count depends on the visiting
+# order and every prune, so it pins the search itself.
+GAMMA_NODE_COUNTS = {
+    ("P5*P5", 2, 1): (7, 508),
+    ("P5*P5", 3, 2): (4, 84),
+    ("C6*C6", 3, 2): (5, 253),
+    ("P6*P6", 3, 3): (9, 18793),
+    ("C8*C8", 4, 2): (4, 64),
+}
+
+
+def test_gamma_frozen_node_counts():
+    for (expr, t, r), (gamma, nodes) in GAMMA_NODE_COUNTS.items():
+        result = gamma_exact(parse_graph_expr(expr), Params(t, r))
+        assert result.status == "exact", (expr, t, r)
+        assert (result.gamma, result.nodes) == (gamma, nodes), (expr, t, r)
+
+
+def test_gamma_node_budget_edge():
+    g = parse_graph_expr("P5*P5")
+    gamma, nodes = GAMMA_NODE_COUNTS[("P5*P5", 2, 1)]
+    enough = gamma_exact(g, Params(2, 1), node_budget=nodes)
+    assert (enough.status, enough.gamma, enough.nodes) == ("exact", gamma, nodes)
+    short = gamma_exact(g, Params(2, 1), node_budget=nodes - 1)
+    assert short.status == "cap-exceeded"
+    assert short.gamma is None and short.witness is None
+    assert short.nodes == nodes
+    assert short.upper_bound == enough.upper_bound
+
+
+def test_gamma_deep_search_is_not_recursion_bound():
+    # At t = 1 every vertex must broadcast to itself, so the search is one
+    # path of 1225 chosen vertices, deeper than the default recursion limit.
+    g = parse_graph_expr("P35*P35")
+    result = gamma_exact(g, Params(1, 1))
+    assert result.status == "exact"
+    assert result.gamma == 1225
+    assert result.witness == g.labels
+    assert result.nodes == 1225
+
+
+@st.composite
+def graph_exprs(draw, max_vertices=10):
+    """A product of P/C atoms with at most max_vertices vertices."""
+    factors = []
+    size = 1
+    while not factors or (size * 2 <= max_vertices and draw(st.booleans())):
+        kind = draw(st.sampled_from("PC"))
+        low = 1 if kind == "P" else 3
+        if low * size > max_vertices:
+            kind, low = "P", 1
+        k = draw(st.integers(low, max_vertices // size))
+        factors.append(f"{kind}{k}")
+        size *= k
+    expr = factors[0]
+    for factor in factors[1:]:
+        expr = f"({expr})*{factor}" if draw(st.booleans()) else f"{expr}*{factor}"
+    return expr
+
+
+@PROPERTY
+@given(graph_exprs(), st.integers(1, 3), st.data())
+def test_gamma_exact_matches_brute_force_on_random_products(expr, t, data):
+    r = data.draw(st.integers(1, t))
+    g = parse_graph_expr(expr)
+    size, witness = brute_gamma(g, t, r)
+    result = gamma_exact(g, Params(t, r))
+    assert result.status == "exact"
+    assert (result.gamma, result.witness) == (size, witness)
 
 
 def test_gamma_diamond_witness_is_minimum():
