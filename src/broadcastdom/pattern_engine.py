@@ -5,9 +5,11 @@ and is judged by whether every lattice point still accumulates reception r.
 Two-dimensional patterns of the form {(m*d + k*e, k)} are towers: one
 broadcast per row, shifted e per row, period d: the sublattice with Hermite
 basis ((d,0),(e,1)), so the search for the sparsest dominating tower walks d
-downward from the coverage bound. Reception is constant on cosets, so towers
-and sublattices alike read it from one coset histogram, a single pass over
-the ball, and share its cap of DEFAULT_INDEX_CAP cosets.
+downward from the coverage bound. Reception is constant on cosets. Towers
+read it from per-d row profiles, what one row of broadcasts sends to each
+column, which every shift e reuses rotated; sublattices read it from one
+coset histogram, a single pass over the ball. Both share the cap of
+DEFAULT_INDEX_CAP cosets.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .coverage_bounds import Params, max_potential_d
 from .lattice_geometry import LatticePoint
@@ -77,7 +79,7 @@ def _reduce(basis: tuple[tuple[int, ...], ...], residue: list[int]) -> list[int]
 
 
 def _coset_histogram(
-    t: int, basis: tuple[tuple[int, ...], ...], last: Optional[int] = None
+    t: int, basis: tuple[tuple[int, ...], ...]
 ) -> dict[tuple[int, ...], list[int]]:
     """Reception of every coset of the lattice, from one pass over B_n(t-1).
 
@@ -86,7 +88,7 @@ def _coset_histogram(
     and each row of coordinate 0 goes whole into a list of basis[0][0]
     buckets keyed by the reduced coordinates 1..n-1: the reception at p is
     hist[key][k] for the reduction (k, *key) of -p, and a coset no offset
-    reaches has no list. `last` keeps only offsets whose coordinate n-1 is it.
+    reaches has no list.
     """
     n, d = len(basis), basis[0][0]
     hist: dict[tuple[int, ...], list[int]] = {}
@@ -98,8 +100,7 @@ def _coset_histogram(
             for x in range(1 - reach, reach):
                 row[(shift + x) % d] += reach - abs(x)
             return
-        top = level == n - 1 and last is not None
-        for x in (last,) if top else range(1 - reach, reach):
+        for x in range(1 - reach, reach):
             partial = residue.copy()
             partial[level] += x
             walk(level - 1, reach - abs(x), _reduce(basis, partial))
@@ -108,14 +109,38 @@ def _coset_histogram(
     return hist
 
 
-def _tower_buckets(
-    params: Params, pattern: TowerPattern, last: Optional[int] = None
-) -> list[int]:
-    # One list of d buckets; bucket k holds the reception at column -k mod d.
-    _check_index(pattern.d, DEFAULT_INDEX_CAP)
-    basis = ((pattern.d, 0), (pattern.e, 1))
-    (row,) = _coset_histogram(params.t, basis, last).values()
-    return row
+def _row_profiles(t: int, d: int) -> list[list[int]]:
+    """What one row of broadcasts at x = 0 (mod d) sends to each column.
+
+    Profile a, for 0 <= a < t, is that row at vertical distance a: column k
+    gets t - a - |x| from every offset x = k (mod d) with |x| < t - a. No
+    profile depends on the shift e, so T(d,e) receives the sum over rows y
+    of profile |y| at column i - y*e (mod d). Refuses d > DEFAULT_INDEX_CAP
+    before allocating.
+    """
+    _check_index(d, DEFAULT_INDEX_CAP)
+    profiles = []
+    for reach in range(t, 0, -1):
+        row = [0] * d
+        for x in range(1 - reach, reach):
+            row[x % d] += reach - abs(x)
+        profiles.append(row)
+    return profiles
+
+
+def _tower_rows(
+    t: int, pattern: TowerPattern
+) -> Iterator[tuple[int, list[int]]]:
+    """(y, contributions of row y to columns 0..d-1) for y = t-1 down to 1-t.
+
+    Row y is profile |y| rotated right by y*e (mod d), cut with slices
+    rather than a per-column modulo.
+    """
+    d, e = pattern.d, pattern.e
+    profiles = _row_profiles(t, d)
+    for y in range(t - 1, -t, -1):
+        row, cut = profiles[abs(y)], d - y * e % d
+        yield y, row[cut:] + row[:cut]
 
 
 def tower_reception(params: Params, pattern: TowerPattern, i: int) -> int:
@@ -127,7 +152,9 @@ def tower_reception(params: Params, pattern: TowerPattern, i: int) -> int:
     """
     if not 0 <= i < pattern.d:
         raise ValueError(f"column must satisfy 0 <= i < {pattern.d}")
-    return _tower_buckets(params, pattern)[-i % pattern.d]
+    t, d, e = params.t, pattern.d, pattern.e
+    profiles = _row_profiles(t, d)
+    return sum(profiles[abs(y)][(i - y * e) % d] for y in range(1 - t, t))
 
 
 def reception_table(params: Params, pattern: TowerPattern) -> ReceptionProfile:
@@ -136,17 +163,15 @@ def reception_table(params: Params, pattern: TowerPattern) -> ReceptionProfile:
     Rows are listed with y descending from t-1 to -(t-1); summing the rows
     column-wise gives the receptions field.
     """
-    rows = []
-    for y in range(params.t - 1, -params.t, -1):
-        buckets = _tower_buckets(params, pattern, y)
-        rows.append((y, tuple(buckets[:1] + buckets[:0:-1])))
+    rows = tuple((y, tuple(row)) for y, row in _tower_rows(params.t, pattern))
     totals = tuple(map(sum, zip(*(vec for _, vec in rows))))
-    return ReceptionProfile(str(pattern), totals, tuple(rows))
+    return ReceptionProfile(str(pattern), totals, rows)
 
 
 def is_dominating_tower(params: Params, pattern: TowerPattern) -> bool:
     """Whether every lattice point receives at least r from the tower."""
-    return min(_tower_buckets(params, pattern)) >= params.r
+    rows = [row for _, row in _tower_rows(params.t, pattern)]
+    return min(map(sum, zip(*rows))) >= params.r
 
 
 def min_density_search(params: Params) -> TowerPattern:
@@ -154,13 +179,30 @@ def min_density_search(params: Params) -> TowerPattern:
 
     d starts at the coverage bound, the provable ceiling on the cells one
     broadcast can support, and walks down; d = 1 always dominates, so the
-    search terminates.
+    search terminates. Within one d, a shift is skipped when a symmetric
+    tower with a smaller shift was already rejected: T(d,d-e) is the mirror
+    of T(d,e), and for gcd(e,d) = 1 swapping the axes of T(d,e) gives
+    T(d,e^-1 mod d). The columns are walked from the one that rejected the
+    last shift, and a tower is accepted only once every column reaches r.
     """
+    t, r = params.t, params.r
     for d in range(max_potential_d(2, params), 0, -1):
-        for e in range(d):
-            pattern = TowerPattern(d, e)
-            if is_dominating_tower(params, pattern):
-                return pattern
+        profiles = _row_profiles(t, d)
+        by_row = [(profiles[abs(y)], y) for y in range(1 - t, t)]
+        killer = 0
+        for e in range(d // 2 + 1):
+            if e > 1 and math.gcd(e, d) == 1:
+                inverse = pow(e, -1, d)
+                if min(inverse, d - inverse) < e:
+                    continue
+            # i - shift lies in (-d, d), so negative indexing wraps it mod d
+            rows = [(row, y * e % d) for row, y in by_row]
+            for i in itertools.chain(range(killer, d), range(killer)):
+                if sum(row[i - shift] for row, shift in rows) < r:
+                    killer = i
+                    break
+            else:
+                return TowerPattern(d, e)
     raise AssertionError("unreachable: T(1,0) always dominates")
 
 
@@ -276,23 +318,6 @@ def is_dominating_lattice(
     return len(hist) * pattern.basis[0][0] == pattern.index and all(
         min(row) >= params.r for row in hist.values()
     )
-
-
-def lattice_reception_table(
-    params: Params, pattern: SublatticePattern
-) -> ReceptionProfile:
-    """Row breakdown for a two-dimensional pattern with one broadcast per row.
-
-    Such a pattern is exactly a tower, so this delegates to the tower table.
-    """
-    if pattern.n != 2:
-        raise ValueError("reception tables are only defined in dimension 2")
-    if pattern.basis[1][1] != 1:
-        raise ValueError(
-            "pattern skips rows; only one-broadcast-per-row patterns have a table"
-        )
-    tower = TowerPattern(pattern.basis[0][0], pattern.basis[1][0])
-    return reception_table(params, tower)
 
 
 def lattice_search_3d(

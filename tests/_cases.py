@@ -82,6 +82,40 @@ def window_tower_receptions(t: int, r: int, d: int, e: int) -> list[int]:
     return out
 
 
+def window_tower_rows(t: int, d: int, e: int) -> list[tuple[int, tuple[int, ...]]]:
+    """What each row y of T(d, e) delivers to (i, 0), for 0 <= i < d.
+
+    Rows run y = t-1 down to -(t-1), the only ones within reach of row 0.
+    Row y holds the broadcasts x = m*d + y*e; each one within L1 distance
+    t - 1 of (i, 0) adds t minus that distance.
+    """
+    rows = []
+    for y in range(t - 1, -t, -1):
+        vec = []
+        for i in range(d):
+            lo = (i - t - y * e) // d - 1
+            hi = (i + t - y * e) // d + 2
+            dists = (abs(m * d + y * e - i) + abs(y) for m in range(lo, hi))
+            vec.append(sum(t - dist for dist in dists if dist < t))
+        rows.append((y, tuple(vec)))
+    return rows
+
+
+def brute_min_tower(t: int, r: int) -> tuple[int, int]:
+    """Sparsest dominating tower (d, e) by trying every candidate in order.
+
+    d runs down from the coverage bound, the unwasted reception of one
+    broadcast summed point by point and divided by r, and e runs up from 0,
+    so the first tower whose window receptions all reach r has the largest
+    d and, for it, the smallest e. No candidate is skipped.
+    """
+    for d in range(window_coverage(2, t, r) // r, 0, -1):
+        for e in range(d):
+            if min(window_tower_receptions(t, r, d, e)) >= r:
+                return d, e
+    raise AssertionError("T(1, 0) always dominates")
+
+
 def brute_lattice_receptions(t: int, basis) -> dict:
     """Reception at each point of the box prod(range(basis[j][j])).
 

@@ -15,7 +15,6 @@ from broadcastdom import (
     hermite_normal_form,
     is_dominating_lattice,
     is_dominating_tower,
-    lattice_reception_table,
     lattice_receptions,
     lattice_search_3d,
     min_density_search,
@@ -29,7 +28,9 @@ from _cases import (
     TOWER_18_5_SUM,
     TOWER_CASES,
     brute_lattice_receptions,
+    brute_min_tower,
     window_tower_receptions,
+    window_tower_rows,
 )
 
 # Property tests draw the same examples on every run and keep no database.
@@ -108,6 +109,15 @@ def test_min_density_full_table():
         assert min_density_search(Params(t, r)).d == d, (t, r)
 
 
+def test_min_density_search_matches_unskipped_brute_search():
+    # The search skips mirrored and axis-swapped shifts; the brute search
+    # tries every e, so equal answers pin the smallest-e tie-break too.
+    for t in range(1, 8):
+        for r in range(1, t + 1):
+            pattern = min_density_search(Params(t, r))
+            assert (pattern.d, pattern.e) == brute_min_tower(t, r), (t, r)
+
+
 def test_hermite_normal_form():
     ident = ((1, 0), (0, 1))
     assert hermite_normal_form(ident) == ident
@@ -165,16 +175,6 @@ def test_lattice_receptions_match_tower():
             assert recs[(i, 0)] == tower_reception(params, tower, i)
         assert is_dominating_lattice(params, lattice) == is_dominating_tower(
             params, tower
-        )
-
-
-def test_lattice_reception_table_delegates():
-    params = Params(4, 2)
-    table = lattice_reception_table(params, SublatticePattern(((18, 0), (5, 1))))
-    assert table.receptions == TOWER_18_5_SUM
-    with pytest.raises(ValueError):
-        lattice_reception_table(
-            params, SublatticePattern(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         )
 
 
@@ -269,4 +269,30 @@ def test_tower_kernel_matches_window_oracle(t, data):
     profile = reception_table(params, pattern)
     assert list(profile.receptions) == expected
     assert [y for y, _ in profile.rows] == list(range(t - 1, -t, -1))
+    assert list(profile.rows) == window_tower_rows(t, d, e)
     assert is_dominating_tower(params, pattern) == (min(expected) >= r)
+
+
+@PROPERTY
+@given(st.integers(1, 7), st.data())
+def test_tower_mirror_reverses_columns(t, data):
+    # Reflecting x -> -x maps T(d, e) onto T(d, -e mod d).
+    d = data.draw(st.integers(1, 60), label="d")
+    e = data.draw(st.integers(0, d - 1), label="e")
+    params = Params(t, 1)
+    got = reception_table(params, TowerPattern(d, e)).receptions
+    mirrored = reception_table(params, TowerPattern(d, (d - e) % d)).receptions
+    assert list(mirrored) == [got[-i % d] for i in range(d)]
+
+
+@PROPERTY
+@given(st.integers(1, 7), st.data())
+def test_tower_axis_swap_keeps_receptions(t, data):
+    # Swapping x and y maps T(d, e) onto T(d, e^-1 mod d) when gcd(e, d) = 1.
+    d = data.draw(st.integers(1, 60), label="d")
+    units = [e for e in range(d) if math.gcd(e, d) == 1]
+    e = data.draw(st.sampled_from(units), label="e")
+    params = Params(t, 1)
+    got = reception_table(params, TowerPattern(d, e)).receptions
+    swapped = reception_table(params, TowerPattern(d, pow(e, -1, d))).receptions
+    assert sorted(swapped) == sorted(got)
