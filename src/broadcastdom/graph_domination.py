@@ -2,17 +2,18 @@
 
 Reception works as on the lattice: a broadcast at u delivers t - d(u, v) to
 every vertex v within distance t, and a vertex set dominates when every
-vertex accumulates at least r. gamma_exact finds a minimum dominating set by
-iterative deepening over lexicographically ordered vertex subsets, so the
-witness it returns is the lexicographically least one of minimum size. The
-verification helpers package specific small-graph facts: the two-broadcast
-cycle, the torus pair that beats the product bound, and product inequality
-scans over graph pairs.
+vertex accumulates at least r. All reception is read from one BFS ball of
+radius t - 1 per broadcast, as sparse rows (v, t - d); distances() is kept
+for callers, but the solver does not use it. gamma_exact finds a minimum
+dominating set by iterative deepening over lexicographically ordered vertex
+subsets, so the witness it returns is the lexicographically least one of
+minimum size. The verification helpers package specific small-graph facts:
+the two-broadcast cycle, the torus pair that beats the product bound, and
+product inequality scans over graph pairs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -57,7 +58,6 @@ class FiniteGraph:
             adj[i].add(j)
             adj[j].add(i)
         self._adj = tuple(tuple(sorted(s)) for s in adj)
-        self._dist: Optional[tuple[tuple[Optional[int], ...], ...]] = None
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -116,40 +116,37 @@ class FiniteGraph:
                         edges.append((labels[i * m + j], labels[i * m + k]))
         return FiniteGraph(labels, edges)
 
+    def _ball(self, src: int, radius: int) -> dict[int, int]:
+        """BFS distance from vertex index src to each vertex within radius."""
+        ball = {src: 0}
+        frontier = [src]
+        for d in range(1, radius + 1):
+            if not frontier:
+                break
+            level = []
+            for u in frontier:
+                for v in self._adj[u]:
+                    if v not in ball:
+                        ball[v] = d
+                        level.append(v)
+            frontier = level
+        return ball
+
     def distances(self) -> tuple[tuple[Optional[int], ...], ...]:
         """All-pairs distances by BFS; None between different components."""
-        if self._dist is None:
-            rows = []
-            for src in range(len(self._labels)):
-                dist: list[Optional[int]] = [None] * len(self._labels)
-                dist[src] = 0
-                queue = deque([src])
-                while queue:
-                    u = queue.popleft()
-                    for v in self._adj[u]:
-                        if dist[v] is None:
-                            dist[v] = dist[u] + 1
-                            queue.append(v)
-                rows.append(tuple(dist))
-            self._dist = tuple(rows)
-        return self._dist
+        n = len(self._labels)
+        return tuple(
+            tuple(map(self._ball(src, n).get, range(n))) for src in range(n)
+        )
 
     @property
     def component_count(self) -> int:
-        seen = [False] * len(self._labels)
+        seen: set[int] = set()
         count = 0
         for src in range(len(self._labels)):
-            if seen[src]:
-                continue
-            count += 1
-            queue = deque([src])
-            seen[src] = True
-            while queue:
-                u = queue.popleft()
-                for v in self._adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        queue.append(v)
+            if src not in seen:
+                count += 1
+                seen.update(self._ball(src, len(self._labels)))
         return count
 
 
@@ -227,24 +224,16 @@ def reception_map(
     """Reception every vertex accumulates from broadcasts of strength t."""
     if t < 1:
         raise ValueError("t must be at least 1")
-    dist = graph.distances()
-    sources = []
+    totals = [0] * graph.vertex_count
     seen = set()
     for b in broadcasts:
         i = graph.index_of(b)
         if i in seen:
             raise ValueError(f"duplicate broadcast at {b!r}")
         seen.add(i)
-        sources.append(i)
-    out = {}
-    for v, label in enumerate(graph.labels):
-        total = 0
-        for u in sources:
-            d = dist[u][v]
-            if d is not None and d < t:
-                total += t - d
-        out[label] = total
-    return out
+        for v, d in graph._ball(i, t - 1).items():
+            totals[v] += t - d
+    return dict(zip(graph.labels, totals))
 
 
 def is_dominating_set(
@@ -273,31 +262,135 @@ class GammaResult:
     components: int
 
 
-def _greedy_witness(
-    infl: Sequence[Sequence[tuple[int, int]]], r: int
-) -> list[int]:
-    # Upper bound: repeatedly take the vertex that removes the most deficit.
-    n = len(infl)
+def _greedy_witness(rows: Sequence[Sequence[tuple[int, int]]], r: int) -> list[int]:
+    # Upper bound: repeatedly take the untaken row that removes the most deficit.
+    n = len(rows)
     deficits = [r] * n
     total = n * r
     chosen: list[int] = []
     while total > 0:
         best_u, best_gain = -1, 0
-        for u, row in enumerate(infl):
+        for u, row in enumerate(rows):
             gain = 0
             for v, c in row:
                 d = deficits[v]
                 gain += c if c < d else d
-            if gain > best_gain:
+            if gain > best_gain and u not in chosen:
                 best_u, best_gain = u, gain
         assert best_u >= 0
         chosen.append(best_u)
-        for v, c in infl[best_u]:
+        for v, c in rows[best_u]:
             d = deficits[v]
             cut = c if c < d else d
             deficits[v] = d - cut
             total -= cut
     return chosen
+
+
+def _min_cover(
+    rows: Sequence[Sequence[tuple[int, int]]],
+    r: int,
+    size_cap: Optional[int],
+    node_budget: int,
+) -> tuple[Optional[int], Optional[list[int]], int, int]:
+    """Lexicographically least minimum set of rows that brings every column to r.
+
+    Row u holds (v, c) pairs, v ascending: choosing u adds c > 0 to column v.
+    Returns (size, row indices, greedy upper bound, nodes); size and indices
+    are None when size_cap or node_budget ran out first.
+    """
+    n = len(rows)
+    last_helper = [0] * n
+    for u, row in enumerate(rows):
+        for v, _ in row:
+            last_helper[v] = u
+    # No row past the last helper of the most-constrained deficient column
+    # can complete a set, so hi is the last helper of the first deficient
+    # column in this order.
+    by_last_helper = sorted(range(n), key=last_helper.__getitem__)
+    # maxc[s][v]: best single-row contribution to v from any u >= s.
+    maxc = [[0] * n]
+    for row in reversed(rows):
+        level = maxc[-1].copy()
+        for v, c in row:
+            if c > level[v]:
+                level[v] = c
+        maxc.append(level)
+    maxc.reverse()
+    best_gain = [0] * (n + 1)
+    for s in range(n - 1, -1, -1):
+        best_gain[s] = max(best_gain[s + 1], sum(c for _, c in rows[s]))
+
+    upper = len(_greedy_witness(rows, r))
+    limit = upper if size_cap is None else min(size_cap, upper)
+
+    deficits = [r] * n
+    total = n * r
+    nodes = 0
+
+    def feasible(total: int, start: int, remaining: int) -> bool:
+        if total > remaining * best_gain[start]:
+            return False
+        for d, c in zip(deficits, maxc[start]):
+            if d > remaining * c:
+                return False
+        return True
+
+    def first_hi() -> int:
+        for v in by_last_helper:
+            if deficits[v]:
+                return last_helper[v]
+        raise AssertionError("no deficient column")
+
+    for k in range(1, limit + 1):
+        if not feasible(total, 0, k):
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            break
+        # One frame (u, hi, delta) per chosen row: its index, the candidate
+        # bound of the node it was chosen at, and the deficit it removed.
+        # u and hi describe the node being expanded.
+        stack: list[tuple[int, int, list[tuple[int, int]]]] = []
+        u, hi = 0, first_hi()
+        while True:
+            if u > hi:
+                if not stack:
+                    break
+                # The node is spent: undo the choice that opened it.
+                u, hi, delta = stack.pop()
+            else:
+                delta = []
+                for v, c in rows[u]:
+                    d = deficits[v]
+                    if d:
+                        cut = c if c < d else d
+                        deficits[v] = d - cut
+                        total -= cut
+                        delta.append((v, cut))
+                if not delta:
+                    # u helps no deficient column now or later; a minimum
+                    # set cannot contain it.
+                    u += 1
+                    continue
+                if total == 0:
+                    # Frames hold increasing indices, so this is sorted.
+                    return k, [frame[0] for frame in stack] + [u], upper, nodes
+                remaining = k - len(stack)
+                if remaining > 1 and feasible(total, u + 1, remaining - 1):
+                    nodes += 1
+                    if nodes > node_budget:
+                        break
+                    stack.append((u, hi, delta))
+                    u, hi = u + 1, first_hi()
+                    continue
+            for v, cut in delta:
+                deficits[v] += cut
+                total += cut
+            u += 1
+        if nodes > node_budget:
+            break
+    return None, None, upper, nodes
 
 
 def gamma_exact(
@@ -317,109 +410,15 @@ def gamma_exact(
     hit. The search keeps its path on an explicit stack, so its depth is not
     bounded by Python's recursion limit.
     """
-    t, r = params.t, params.r
-    dist = graph.distances()
-    n = graph.vertex_count
-    contrib = [
-        [t - d if d is not None and d < t else 0 for d in row] for row in dist
+    t = params.t
+    rows = [
+        tuple(sorted((v, t - d) for v, d in graph._ball(u, t - 1).items()))
+        for u in range(graph.vertex_count)
     ]
-    infl = [
-        tuple((v, c) for v, c in enumerate(row) if c > 0) for row in contrib
-    ]
-    last_helper = [
-        max(u for u in range(n) if contrib[u][v] > 0) for v in range(n)
-    ]
-    # No vertex past the last helper of the most-constrained deficient vertex
-    # can complete a set, so hi is the last helper of the first deficient
-    # vertex in this order.
-    by_last_helper = sorted(range(n), key=last_helper.__getitem__)
-    # maxc[s][v]: best single-vertex contribution to v from any u >= s.
-    maxc = [[0] * n]
-    for row in reversed(contrib):
-        maxc.append(list(map(max, maxc[-1], row)))
-    maxc.reverse()
-    power = [sum(row) for row in contrib]
-    best_gain = [0] * (n + 1)
-    for s in range(n - 1, -1, -1):
-        best_gain[s] = max(best_gain[s + 1], power[s])
-
-    greedy = _greedy_witness(infl, r)
-    upper = len(greedy)
-    limit = upper if size_cap is None else min(size_cap, upper)
-
-    deficits = [r] * n
-    total = n * r
-    nodes = 0
-
-    def feasible(total: int, start: int, remaining: int) -> bool:
-        if total > remaining * best_gain[start]:
-            return False
-        for d, c in zip(deficits, maxc[start]):
-            if d > remaining * c:
-                return False
-        return True
-
-    def first_hi() -> int:
-        for v in by_last_helper:
-            if deficits[v]:
-                return last_helper[v]
-        raise AssertionError("no deficient vertex")
-
-    for k in range(1, limit + 1):
-        if not feasible(total, 0, k):
-            continue
-        nodes += 1
-        if nodes > node_budget:
-            break
-        # One frame (u, hi, delta) per chosen vertex: its index, the
-        # candidate bound of the node it was chosen at, and the deficit it
-        # removed. u and hi describe the node being expanded.
-        stack: list[tuple[int, int, list[tuple[int, int]]]] = []
-        u, hi = 0, first_hi()
-        while True:
-            if u > hi:
-                if not stack:
-                    break
-                # The node is spent: undo the choice that opened it.
-                u, hi, delta = stack.pop()
-            else:
-                delta = []
-                for v, c in infl[u]:
-                    d = deficits[v]
-                    if d:
-                        cut = c if c < d else d
-                        deficits[v] = d - cut
-                        total -= cut
-                        delta.append((v, cut))
-                if not delta:
-                    # u helps no deficient vertex now or later; a minimum
-                    # witness cannot contain it.
-                    u += 1
-                    continue
-                if total == 0:
-                    # Frames hold increasing indices, so this is sorted.
-                    chosen = [frame[0] for frame in stack] + [u]
-                    witness = tuple(graph.labels[i] for i in chosen)
-                    return GammaResult(
-                        "exact", k, witness, upper, nodes, graph.component_count
-                    )
-                remaining = k - len(stack)
-                if remaining > 1 and feasible(total, u + 1, remaining - 1):
-                    nodes += 1
-                    if nodes > node_budget:
-                        break
-                    stack.append((u, hi, delta))
-                    u, hi = u + 1, first_hi()
-                    continue
-            for v, cut in delta:
-                deficits[v] += cut
-                total += cut
-            u += 1
-        if nodes > node_budget:
-            break
-    return GammaResult(
-        "cap-exceeded", None, None, upper, nodes, graph.component_count
-    )
+    gamma, chosen, upper, nodes = _min_cover(rows, params.r, size_cap, node_budget)
+    status = "cap-exceeded" if chosen is None else "exact"
+    witness = None if chosen is None else tuple(graph.labels[i] for i in chosen)
+    return GammaResult(status, gamma, witness, upper, nodes, graph.component_count)
 
 
 @dataclass(frozen=True)

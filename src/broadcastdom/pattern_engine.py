@@ -7,7 +7,8 @@ broadcast per row, shifted e per row, period d: the sublattice with Hermite
 basis ((d,0),(e,1)), so the search for the sparsest dominating tower walks d
 downward from the coverage bound. Reception is constant on cosets. Towers
 read it from per-d row profiles, what one row of broadcasts sends to each
-column, which every shift e reuses rotated; sublattices read it from one
+column, which every shift e reuses rotated (tower_reception, which reads one
+column, sums that column's offsets directly); sublattices read it from one
 coset histogram, a single pass over the ball. Both share the cap of
 DEFAULT_INDEX_CAP cosets.
 """
@@ -147,14 +148,20 @@ def tower_reception(params: Params, pattern: TowerPattern, i: int) -> int:
     """Total reception at column i of row 0, one value per residue class.
 
     Row y contributes through its broadcasts at x = y*e (mod d); each one
-    within horizontal reach t - |y| adds its remaining strength. Like
+    within horizontal reach t - |y| adds its remaining strength. The offsets
+    are summed directly, O(t^2) time and no list of d entries. Like
     reception_table and is_dominating_tower, refuses d > DEFAULT_INDEX_CAP.
     """
     if not 0 <= i < pattern.d:
         raise ValueError(f"column must satisfy 0 <= i < {pattern.d}")
     t, d, e = params.t, pattern.d, pattern.e
-    profiles = _row_profiles(t, d)
-    return sum(profiles[abs(y)][(i - y * e) % d] for y in range(1 - t, t))
+    _check_index(d, DEFAULT_INDEX_CAP)
+    return sum(
+        t - abs(y) - abs(x)
+        for y in range(1 - t, t)
+        for x in range(abs(y) + 1 - t, t - abs(y))
+        if (x + y * e - i) % d == 0
+    )
 
 
 def reception_table(params: Params, pattern: TowerPattern) -> ReceptionProfile:

@@ -222,6 +222,24 @@ CORNER_RECEPTIONS = {
 }
 
 
+def brute_distances(graph) -> list[list]:
+    """All-pairs distances by Floyd-Warshall; None between components."""
+    labels = graph.labels
+    n = len(labels)
+    index = {lab: i for i, lab in enumerate(labels)}
+    # No shortest path has n edges, so n stands for "unreachable".
+    dist = [[0 if i == j else n for j in range(n)] for i in range(n)]
+    for i, lab in enumerate(labels):
+        for nb in graph.neighbors(lab):
+            dist[i][index[nb]] = 1
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if dist[i][k] + dist[k][j] < dist[i][j]:
+                    dist[i][j] = dist[i][k] + dist[k][j]
+    return [[d if d < n else None for d in row] for row in dist]
+
+
 def brute_receptions(graph, broadcasts, t: int) -> dict:
     """Accumulated reception per vertex, with a fresh BFS per broadcast."""
     totals = {lab: 0 for lab in graph.labels}

@@ -1,5 +1,7 @@
 """Finite graphs: construction, parsing, exact gamma, and the verifiers."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from _cases import (
     DIAMOND_BROADCASTS,
     DIAMOND_RECEPTIONS,
     MONOTONE_INSTANCES,
+    brute_distances,
     brute_gamma,
     brute_receptions,
 )
@@ -236,6 +239,62 @@ def test_gamma_exact_matches_brute_force_on_random_products(expr, t, data):
     result = gamma_exact(g, Params(t, r))
     assert result.status == "exact"
     assert (result.gamma, result.witness) == (size, witness)
+
+
+@st.composite
+def edge_subset_graphs(draw, max_vertices=9):
+    """Labels 0..n-1, n <= max_vertices, with a random subset of the edges."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return FiniteGraph(range(n), edges)
+
+
+@PROPERTY
+@given(edge_subset_graphs(), st.integers(1, 3), st.data())
+def test_graphs_with_isolated_parts_match_oracles(g, t, data):
+    dist = brute_distances(g)
+    assert [list(row) for row in g.distances()] == dist
+    reachable = {
+        frozenset(j for j, d in enumerate(row) if d is not None) for row in dist
+    }
+    assert g.component_count == len(reachable)
+    broadcasts = data.draw(st.lists(st.sampled_from(g.labels), unique=True))
+    assert reception_map(g, broadcasts, t) == brute_receptions(g, broadcasts, t)
+    r = data.draw(st.integers(1, t))
+    size, witness = brute_gamma(g, t, r)
+    result = gamma_exact(g, Params(t, r))
+    assert result.status == "exact"
+    assert (result.gamma, result.witness) == (size, witness)
+    assert result.gamma <= result.upper_bound
+    assert result.components == len(reachable)
+
+
+def test_greedy_bound_takes_each_vertex_once():
+    # Taking the centre twice would remove the most deficit at every step,
+    # but a broadcast set holds each vertex once, so the bound is 4 > gamma.
+    star = FiniteGraph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3)))
+    result = gamma_exact(star, Params(2, 2))
+    assert (result.status, result.gamma, result.witness) == ("exact", 3, (1, 2, 3))
+    assert result.upper_bound == 4
+
+
+def test_solvers_do_not_read_the_distance_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the all-pairs distance table was requested")
+
+    monkeypatch.setattr(FiniteGraph, "distances", refuse)
+    grid = parse_graph_expr("P5*P5")
+    assert reception_map(grid, DIAMOND_BROADCASTS, 3) == DIAMOND_RECEPTIONS
+    result = gamma_exact(grid, Params(3, 2))
+    assert (result.gamma, result.nodes, result.components) == (4, 84, 1)
+    assert result.witness == ((1, 3), (3, 1), (3, 5), (5, 3))
+    cycle = verify_cycle_lemma(Params(4, 2))
+    assert (cycle.n, cycle.gamma, cycle.witness) == (6, 2, (0, 1))
+    assert cycle.canonical_receptions == (5,) * 6 and cycle.passed
+    torus = verify_torus_counterexample(Params(3, 2))
+    assert (torus.gamma_torus, torus.gamma_cycle, torus.min_reception) == (2, 2, 2)
+    assert torus.passed
 
 
 def test_gamma_diamond_witness_is_minimum():

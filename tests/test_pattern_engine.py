@@ -1,6 +1,7 @@
 """Tower and sublattice pattern verification against windowed oracles."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -225,6 +226,24 @@ def test_tower_index_cap():
         reception_table(params, pattern)
     with pytest.raises(IndexCapExceeded):
         is_dominating_tower(params, pattern)
+
+
+def test_tower_reception_memory_does_not_grow_with_d():
+    params, pattern = Params(30, 10), TowerPattern(200_000, 5)
+    tracemalloc.start()
+    try:
+        value = tower_reception(params, pattern, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # Rows |y| < 30 put broadcasts at 5y + m*d; for every d > 181 only m = 0
+    # comes within reach of column 7, so d = 401 receives the same there.
+    assert value == window_tower_receptions(30, 10, 401, 5)[7]
+    small = TowerPattern(59, 5)
+    assert [
+        tower_reception(params, small, i) for i in range(small.d)
+    ] == window_tower_receptions(30, 10, small.d, small.e)
 
 
 @st.composite
