@@ -3,17 +3,18 @@
 Reception works as on the lattice: a broadcast at u delivers t - d(u, v) to
 every vertex v within distance t, and a vertex set dominates when every
 vertex accumulates at least r. All reception is read from one BFS ball of
-radius t - 1 per broadcast, as sparse rows (v, t - d); distances() is kept
-for callers, but the solver does not use it. gamma_exact finds a minimum
-dominating set by iterative deepening over lexicographically ordered vertex
-subsets, so the witness it returns is the lexicographically least one of
-minimum size. The verification helpers package specific small-graph facts:
-the two-broadcast cycle, the torus pair that beats the product bound, and
-product inequality scans over graph pairs.
+radius t - 1 per broadcast, as sparse rows (v, t - d). gamma_exact finds a
+minimum dominating set by iterative deepening over lexicographically ordered
+vertex subsets, so its witness is the lexicographically least of minimum
+size. The search keeps the deficits as r bit-planes, one bit per vertex in
+the order of the last vertex whose ball reaches it (see _min_cover). The
+verification helpers package small-graph facts: the two-broadcast cycle, the
+torus pair that beats the product bound, and product scans over graph pairs.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -263,27 +264,24 @@ class GammaResult:
 
 
 def _greedy_witness(rows: Sequence[Sequence[tuple[int, int]]], r: int) -> list[int]:
-    # Upper bound: repeatedly take the untaken row that removes the most deficit.
-    n = len(rows)
-    deficits = [r] * n
-    total = n * r
+    # Upper bound: repeatedly take the untaken row that removes the most
+    # deficit, lowest index on ties. Gains only fall as deficits do, so a
+    # heap of stale gains is exact: a popped row whose gain has not fallen
+    # beats every other.
+    deficits, total = [r] * len(rows), len(rows) * r
+    heap = [(-sum(min(c, r) for _, c in row), u) for u, row in enumerate(rows)]
+    heapq.heapify(heap)
     chosen: list[int] = []
     while total > 0:
-        best_u, best_gain = -1, 0
-        for u, row in enumerate(rows):
-            gain = 0
-            for v, c in row:
-                d = deficits[v]
-                gain += c if c < d else d
-            if gain > best_gain and u not in chosen:
-                best_u, best_gain = u, gain
-        assert best_u >= 0
-        chosen.append(best_u)
-        for v, c in rows[best_u]:
-            d = deficits[v]
-            cut = c if c < d else d
-            deficits[v] = d - cut
-            total -= cut
+        stale, u = heapq.heappop(heap)
+        gain = sum(min(c, deficits[v]) for v, c in rows[u])
+        if gain == -stale:
+            chosen.append(u)
+            for v, c in rows[u]:
+                deficits[v] -= min(c, deficits[v])
+            total -= gain
+        elif gain:
+            heapq.heappush(heap, (-gain, u))
     return chosen
 
 
@@ -298,98 +296,100 @@ def _min_cover(
     Row u holds (v, c) pairs, v ascending: choosing u adds c > 0 to column v.
     Returns (size, row indices, greedy upper bound, nodes); size and indices
     are None when size_cap or node_budget ran out first.
+
+    The deficits are r bit-planes of n bits, packed into one int with plane j
+    at bits j*n to j*n + n - 1: plane j has a column's bit while its deficit
+    exceeds j, so the popcount is the total deficit and every set bit has its
+    copy in plane 0. Bit p of a plane is the column with the p-th smallest
+    last helper (the last row that reaches it), so the lowest set bit names
+    the deficient column whose last helper bounds the rows worth trying.
+    Choosing a row clears the columns it reaches and moves those it gives
+    c < r down c planes; the ints are immutable, so a stack frame keeps its
+    node's deficits and nothing is undone.
     """
     n = len(rows)
-    last_helper = [0] * n
-    for u, row in enumerate(rows):
-        for v, _ in row:
-            last_helper[v] = u
-    # No row past the last helper of the most-constrained deficient column
-    # can complete a set, so hi is the last helper of the first deficient
-    # column in this order.
+    last_helper = {v: u for u, row in enumerate(rows) for v, _ in row}
     by_last_helper = sorted(range(n), key=last_helper.__getitem__)
-    # maxc[s][v]: best single-row contribution to v from any u >= s.
-    maxc = [[0] * n]
-    for row in reversed(rows):
-        level = maxc[-1].copy()
+    hi_of_bit = [last_helper[v] for v in by_last_helper]
+    bit = {v: 1 << p for p, v in enumerate(by_last_helper)}
+    full, tile = (1 << n) - 1, sum(1 << (j * n) for j in range(r))
+    # reach[u]: the columns row u reaches; keep[u] clears them and shifts[u]
+    # lists (c * n, the columns given c < r), masks repeated per plane by tile.
+    reach, keep, shifts = [], [], []
+    for row in rows:
+        given = [0] * r  # given[0] gathers the columns that receive c >= r
         for v, c in row:
-            if c > level[v]:
-                level[v] = c
-        maxc.append(level)
-    maxc.reverse()
-    best_gain = [0] * (n + 1)
-    for s in range(n - 1, -1, -1):
-        best_gain[s] = max(best_gain[s + 1], sum(c for _, c in rows[s]))
+            given[c if c < r else 0] |= bit[v]
+        reach.append(sum(given))
+        keep.append((full ^ reach[-1]) * tile)
+        shifts.append([(c * n, g * tile) for c, g in enumerate(given) if c and g])
+    # Column prune: m more rows cannot cover a column whose best single-row
+    # contribution from rows >= s is c < r once its deficit exceeds m * c.
+    # cls[c] holds the columns of class c; prune[s][m - 1] (the last entry
+    # for every m >= r) has their bits in plane m * c.
+    best = [0] * n
+    cls = [full] + [0] * (r - 1)
+    prune, best_gain = [[full] * r], [0]
+    for row in reversed(rows):
+        for v, c in row:
+            if c > best[v]:
+                if best[v] < r:
+                    cls[best[v]] ^= bit[v]
+                if c < r:
+                    cls[c] |= bit[v]
+                best[v] = c
+        prune.append([
+            sum(cls[c] << (m * c * n) for c in range((r - 1) // m + 1))
+            for m in range(1, r + 1)
+        ])
+        best_gain.append(max(best_gain[-1], sum(c for _, c in row)))
+    prune.reverse()
+    best_gain.reverse()
 
     upper = len(_greedy_witness(rows, r))
     limit = upper if size_cap is None else min(size_cap, upper)
-
-    deficits = [r] * n
-    total = n * r
+    root = (1 << (n * r)) - 1
     nodes = 0
-
-    def feasible(total: int, start: int, remaining: int) -> bool:
-        if total > remaining * best_gain[start]:
-            return False
-        for d, c in zip(deficits, maxc[start]):
-            if d > remaining * c:
-                return False
-        return True
-
-    def first_hi() -> int:
-        for v in by_last_helper:
-            if deficits[v]:
-                return last_helper[v]
-        raise AssertionError("no deficient column")
-
     for k in range(1, limit + 1):
-        if not feasible(total, 0, k):
+        if root & prune[0][min(k, r) - 1] or n * r > k * best_gain[0]:
             continue
         nodes += 1
         if nodes > node_budget:
             break
-        # One frame (u, hi, delta) per chosen row: its index, the candidate
-        # bound of the node it was chosen at, and the deficit it removed.
-        # u and hi describe the node being expanded.
-        stack: list[tuple[int, int, list[tuple[int, int]]]] = []
-        u, hi = 0, first_hi()
+        # One frame (u, hi, planes) per chosen row: its index and the
+        # candidate bound and deficits of the node it was chosen at.
+        stack: list[tuple[int, int, int]] = []
+        u, hi, planes = 0, hi_of_bit[0], root
         while True:
             if u > hi:
                 if not stack:
                     break
-                # The node is spent: undo the choice that opened it.
-                u, hi, delta = stack.pop()
-            else:
-                delta = []
-                for v, c in rows[u]:
-                    d = deficits[v]
-                    if d:
-                        cut = c if c < d else d
-                        deficits[v] = d - cut
-                        total -= cut
-                        delta.append((v, cut))
-                if not delta:
-                    # u helps no deficient column now or later; a minimum
-                    # set cannot contain it.
-                    u += 1
-                    continue
-                if total == 0:
-                    # Frames hold increasing indices, so this is sorted.
-                    return k, [frame[0] for frame in stack] + [u], upper, nodes
-                remaining = k - len(stack)
-                if remaining > 1 and feasible(total, u + 1, remaining - 1):
-                    nodes += 1
-                    if nodes > node_budget:
-                        break
-                    stack.append((u, hi, delta))
-                    u, hi = u + 1, first_hi()
-                    continue
-            for v, cut in delta:
-                deficits[v] += cut
-                total += cut
+                u, hi, planes = stack.pop()
+                u += 1
+                continue
+            if not planes & reach[u]:
+                # u helps no deficient column now or later; a minimum set
+                # cannot contain it.
+                u += 1
+                continue
+            child = planes & keep[u]
+            for shift, given in shifts[u]:
+                child |= (planes >> shift) & given
+            if not child:
+                # Frames hold increasing indices, so this is sorted.
+                return k, [frame[0] for frame in stack] + [u], upper, nodes
+            m = k - len(stack) - 1
+            if m and not child & prune[u + 1][min(m, r) - 1] and (
+                child.bit_count() <= m * best_gain[u + 1]
+            ):
+                nodes += 1
+                if nodes > node_budget:
+                    return None, None, upper, nodes
+                stack.append((u, hi, planes))
+                low = (child & -child).bit_length() - 1
+                u, hi, planes = u + 1, hi_of_bit[low], child
+                continue
             u += 1
-        if nodes > node_budget:
-            break
     return None, None, upper, nodes
 
 

@@ -277,6 +277,26 @@ def brute_gamma(graph, t: int, r: int, max_size=None):
     return None, None
 
 
+def naive_greedy(rows, r: int) -> list[int]:
+    """Greedy cover by full rescan: each step takes the untaken row that
+    removes the most deficit, lowest index on ties, until none is left.
+
+    Row u holds (v, c) pairs: taking u adds c to column v.
+    """
+    deficits = [r] * len(rows)
+    chosen: list[int] = []
+    while any(deficits):
+        best_u, best_gain = -1, 0
+        for u, row in enumerate(rows):
+            gain = sum(min(c, deficits[v]) for v, c in row)
+            if gain > best_gain and u not in chosen:
+                best_u, best_gain = u, gain
+        chosen.append(best_u)
+        for v, c in rows[best_u]:
+            deficits[v] -= min(c, deficits[v])
+    return chosen
+
+
 # 20 fixed instances for the monotonicity property: each entry is checked
 # both ways, gamma never rises when t grows and never falls when r grows.
 MONOTONE_INSTANCES = [

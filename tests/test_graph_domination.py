@@ -18,6 +18,7 @@ from broadcastdom import (
     verify_torus_counterexample,
     vizing_scan,
 )
+from broadcastdom.graph_domination import _greedy_witness
 
 from _cases import (
     CORNER_BROADCASTS,
@@ -28,6 +29,7 @@ from _cases import (
     brute_distances,
     brute_gamma,
     brute_receptions,
+    naive_greedy,
 )
 
 # Property tests draw the same examples on every run and keep no database.
@@ -178,6 +180,10 @@ GAMMA_NODE_COUNTS = {
     ("C6*C6", 3, 2): (5, 253),
     ("P6*P6", 3, 3): (9, 18793),
     ("C8*C8", 4, 2): (4, 64),
+    ("P7*P7", 2, 1): (12, 52012),
+    ("P7*P7", 3, 2): (8, 9046),
+    ("C8*C8", 3, 2): (8, 9592),
+    ("C7*C7", 3, 2): (7, 14945),
 }
 
 
@@ -198,6 +204,18 @@ def test_gamma_node_budget_edge():
     assert short.gamma is None and short.witness is None
     assert short.nodes == nodes
     assert short.upper_bound == enough.upper_bound
+
+
+def test_gamma_node_budget_edge_on_tori():
+    # (expr, t, r) -> greedy upper bound; each search outruns the budget.
+    for (expr, t, r), upper in {
+        ("C10*C10", 3, 2): 17,
+        ("C8*C8", 2, 1): 17,
+    }.items():
+        result = gamma_exact(parse_graph_expr(expr), Params(t, r), node_budget=20000)
+        assert result.status == "cap-exceeded", (expr, t, r)
+        assert (result.nodes, result.upper_bound) == (20001, upper), (expr, t, r)
+        assert result.gamma is None and result.witness is None
 
 
 def test_gamma_deep_search_is_not_recursion_bound():
@@ -268,6 +286,36 @@ def test_graphs_with_isolated_parts_match_oracles(g, t, data):
     assert (result.gamma, result.witness) == (size, witness)
     assert result.gamma <= result.upper_bound
     assert result.components == len(reachable)
+
+
+@PROPERTY
+@given(edge_subset_graphs(max_vertices=7), st.integers(1, 5), st.data())
+def test_gamma_exact_matches_brute_force_up_to_five_planes(g, t, data):
+    # A row moves a deficit down c >= 3 bit-planes only when r >= 4, beyond
+    # the t <= 3 of the property tests above.
+    r = data.draw(st.integers(1, t))
+    size, witness = brute_gamma(g, t, r)
+    result = gamma_exact(g, Params(t, r))
+    assert result.status == "exact"
+    assert (result.gamma, result.witness) == (size, witness)
+    assert result.gamma <= result.upper_bound
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        graph_exprs(max_vertices=30).map(parse_graph_expr), edge_subset_graphs()
+    ),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_lazy_greedy_picks_what_a_full_rescan_picks(g, t, data):
+    r = data.draw(st.integers(1, t))
+    rows = [
+        [(v, t - d) for v, d in enumerate(dist) if d is not None and d < t]
+        for dist in brute_distances(g)
+    ]
+    assert _greedy_witness(rows, r) == naive_greedy(rows, r)
 
 
 def test_greedy_bound_takes_each_vertex_once():

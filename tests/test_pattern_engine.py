@@ -246,6 +246,20 @@ def test_tower_reception_memory_does_not_grow_with_d():
     ] == window_tower_receptions(30, 10, small.d, small.e)
 
 
+def test_is_dominating_tower_memory_does_not_grow_with_t_times_d():
+    params, pattern = Params(30, 10), TowerPattern(200_000, 5)
+    tracemalloc.start()
+    try:
+        value = is_dominating_tower(params, pattern)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The one list of d totals takes 1.6 MB.
+    assert peak < 8_000_000
+    # The 1,741 offsets of B(29) cannot reach 200,000 columns.
+    assert value is False
+
+
 @st.composite
 def hermite_bases(draw):
     """Column Hermite bases of Z^n, n in {2, 3, 4}, with index at most 16."""
