@@ -308,6 +308,8 @@ def _min_cover(
     node's deficits and nothing is undone.
     """
     n = len(rows)
+    if not n:
+        return 0, [], 0, 0
     last_helper = {v: u for u, row in enumerate(rows) for v, _ in row}
     by_last_helper = sorted(range(n), key=last_helper.__getitem__)
     hi_of_bit = [last_helper[v] for v in by_last_helper]

@@ -1,16 +1,12 @@
 """Periodic broadcast patterns on the integer lattice.
 
 A pattern places a broadcast at every point of a full-rank sublattice of Z^n
-and is judged by whether every lattice point still accumulates reception r.
-Two-dimensional patterns of the form {(m*d + k*e, k)} are towers: one
-broadcast per row, shifted e per row, period d: the sublattice with Hermite
-basis ((d,0),(e,1)), so the search for the sparsest dominating tower walks d
-downward from the coverage bound. Reception is constant on cosets. Towers
-read it from per-d row profiles, what one row of broadcasts sends to each
-column, which every shift e reuses rotated (tower_reception and
-is_dominating_tower add each offset of the ball straight into its column);
-sublattices read it from one coset histogram, a single pass over the ball.
-Both share the cap of DEFAULT_INDEX_CAP cosets.
+and dominates when every point still accumulates reception r; reception is
+constant on cosets. Towers, broadcasts at (m*d + y.e, y) for y in Z^(n-1),
+are searched in Z^2 and Z^3 by _tower_search from per-d row profiles indexed
+by |y|_1, which every shift vector e reuses rotated. Other sublattices read
+reception from one coset histogram, a single pass over the ball. All share
+the cap of DEFAULT_INDEX_CAP cosets.
 """
 
 from __future__ import annotations
@@ -18,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import getitem, sub
 from typing import Iterator, Optional, Sequence
 
 from .coverage_bounds import Params, max_potential_d
@@ -113,11 +110,10 @@ def _coset_histogram(
 def _row_profiles(t: int, d: int) -> list[list[int]]:
     """What one row of broadcasts at x = 0 (mod d) sends to each column.
 
-    Profile a, for 0 <= a < t, is that row at vertical distance a: column k
-    gets t - a - |x| from every offset x = k (mod d) with |x| < t - a. No
-    profile depends on the shift e, so T(d,e) receives the sum over rows y
-    of profile |y| at column i - y*e (mod d). Refuses d > DEFAULT_INDEX_CAP
-    before allocating.
+    Profile a, for 0 <= a < t, is that row at transverse distance a: column
+    k gets t - a - |x| from every offset x = k (mod d) with |x| < t - a. A
+    tower receives the sum over its rows y of profile |y|_1 at column
+    i - y.e (mod d). Refuses d > DEFAULT_INDEX_CAP before allocating.
     """
     _check_index(d, DEFAULT_INDEX_CAP)
     profiles = []
@@ -127,21 +123,6 @@ def _row_profiles(t: int, d: int) -> list[list[int]]:
             row[x % d] += reach - abs(x)
         profiles.append(row)
     return profiles
-
-
-def _tower_rows(
-    t: int, pattern: TowerPattern
-) -> Iterator[tuple[int, list[int]]]:
-    """(y, contributions of row y to columns 0..d-1) for y = t-1 down to 1-t.
-
-    Row y is profile |y| rotated right by y*e (mod d), cut with slices
-    rather than a per-column modulo.
-    """
-    d, e = pattern.d, pattern.e
-    profiles = _row_profiles(t, d)
-    for y in range(t - 1, -t, -1):
-        row, cut = profiles[abs(y)], d - y * e % d
-        yield y, row[cut:] + row[:cut]
 
 
 def tower_reception(params: Params, pattern: TowerPattern, i: int) -> int:
@@ -167,59 +148,83 @@ def tower_reception(params: Params, pattern: TowerPattern, i: int) -> int:
 def reception_table(params: Params, pattern: TowerPattern) -> ReceptionProfile:
     """Per-row reception breakdown across one period of columns.
 
-    Rows are listed with y descending from t-1 to -(t-1); summing the rows
-    column-wise gives the receptions field.
+    Row y, for y = t-1 down to 1-t, is profile |y| rotated right by y*e
+    (mod d), cut with slices; the column-wise sum is the receptions field.
     """
-    rows = tuple((y, tuple(row)) for y, row in _tower_rows(params.t, pattern))
+    t, d, e = params.t, pattern.d, pattern.e
+    profiles, rows = _row_profiles(t, d), []
+    for y in range(t - 1, -t, -1):
+        row, cut = profiles[abs(y)], d - y * e % d
+        rows.append((y, tuple(row[cut:] + row[:cut])))
     totals = tuple(map(sum, zip(*(vec for _, vec in rows))))
-    return ReceptionProfile(str(pattern), totals, rows)
+    return ReceptionProfile(str(pattern), totals, tuple(rows))
 
 
 def is_dominating_tower(params: Params, pattern: TowerPattern) -> bool:
-    """Whether every lattice point receives at least r from the tower.
+    """Whether the tower dominates: is_dominating_lattice on the basis ((d,0),(e,1))."""
+    lattice = SublatticePattern(((pattern.d, 0), (pattern.e, 1)))
+    return is_dominating_lattice(params, lattice)
 
-    Each offset of the ball adds its strength straight into its column:
-    O(t^2 + d) time and one list of d totals.
+
+def _shift_vectors(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """Shift vectors e of the towers T(d; e) of Z^n worth trying, ascending.
+
+    Flipping the sign of axis y_j maps e_j to d - e_j and permuting the y
+    axes permutes e, so the least vector of each orbit is nondecreasing with
+    every e_j <= d // 2, as combinations_with_replacement yields them. When
+    gcd(e_j, d) = 1, swapping x with y_j gives e_j^-1 at j and -e_j^-1 * e_i
+    at i != j (mod d); e is dropped when that image's least vector,
+    sorted(min(v, d - v)), comes first (surely when its entry at j is below
+    e_0), as it was tried already.
     """
-    t, d, e = params.t, pattern.d, pattern.e
-    _check_index(d, DEFAULT_INDEX_CAP)
-    totals = [0] * d
-    for y in range(1 - t, t):
-        for x in range(abs(y) + 1 - t, t - abs(y)):
-            totals[(x + y * e) % d] += t - abs(y) - abs(x)
-    return min(totals) >= params.r
+    canon = [*range(d // 2 + 1), *range((d - 1) // 2, 0, -1)]  # min(v, d - v)
+    for e in itertools.combinations_with_replacement(range(d // 2 + 1), n - 1):
+        for j, v in enumerate(e):
+            if v > 1 and math.gcd(v, d) == 1:
+                w = pow(v, -1, d)
+                c = canon[w]
+                image = (c if k == j else canon[w * u % d] for k, u in enumerate(e))
+                if c < e[0] or sorted(image) < list(e):
+                    break
+        else:
+            yield e
 
 
-def min_density_search(params: Params) -> TowerPattern:
-    """Sparsest dominating tower: largest d, then smallest e.
+def _tower_search(n: int, params: Params, top: int) -> tuple[int, tuple[int, ...]]:
+    """Sparsest dominating tower T(d; e) of Z^n: largest d <= top, then least e.
 
-    d starts at the coverage bound, the provable ceiling on the cells one
-    broadcast can support, and walks down; d = 1 always dominates, so the
-    search terminates. Within one d, a shift is skipped when a symmetric
-    tower with a smaller shift was already rejected: T(d,d-e) is the mirror
-    of T(d,e), and for gcd(e,d) = 1 swapping the axes of T(d,e) gives
-    T(d,e^-1 mod d). The columns are walked from the one that rejected the
-    last shift, and a tower is accepted only once every column reaches r.
+    Offset y sends row profile |y|_1 to column i - y.e (mod d). Every coset
+    meets the x-axis, so T(d; e) dominates when every column reaches r, and
+    negation fixes it, so column d - i receives what column i does: columns
+    0..d // 2 are walked, cyclically from the one that rejected the last e.
     """
     t, r = params.t, params.r
-    for d in range(max_potential_d(2, params), 0, -1):
+    box = itertools.product(range(1 - t, t), repeat=n - 1)
+    norms, offsets = zip(*((a, y) for y in box if (a := sum(map(abs, y))) < t))
+    first, *rest = zip(*offsets)
+    for d in range(top, 0, -1):
         profiles = _row_profiles(t, d)
-        by_row = [(profiles[abs(y)], y) for y in range(1 - t, t)]
-        killer = 0
-        for e in range(d // 2 + 1):
-            if e > 1 and math.gcd(e, d) == 1:
-                inverse = pow(e, -1, d)
-                if min(inverse, d - inverse) < e:
-                    continue
+        rows = [profiles[a] for a in norms]
+        half, killer = d // 2 + 1, 0
+        for e in _shift_vectors(n, d):
             # i - shift lies in (-d, d), so negative indexing wraps it mod d
-            rows = [(row, y * e % d) for row, y in by_row]
-            for i in itertools.chain(range(killer, d), range(killer)):
-                if sum(row[i - shift] for row, shift in rows) < r:
+            lead = e[0]
+            shifts = [y * lead % d for y in first]
+            for j, axis in enumerate(rest, 1):
+                shifts = [(s + y * e[j]) % d for s, y in zip(shifts, axis)]
+            for i in itertools.chain(range(killer, half), range(killer)):
+                if sum(map(getitem, rows, map(sub, itertools.repeat(i), shifts))) < r:
                     killer = i
                     break
             else:
-                return TowerPattern(d, e)
-    raise AssertionError("unreachable: T(1,0) always dominates")
+                return d, e
+    raise AssertionError("unreachable: d = 1 always dominates")
+
+
+def min_density_search(params: Params) -> TowerPattern:
+    """Sparsest dominating tower of Z^2: largest d, then smallest e."""
+    d, (e,) = _tower_search(2, params, max_potential_d(2, params))
+    return TowerPattern(d, e)
 
 
 def hermite_normal_form(
@@ -342,16 +347,10 @@ def lattice_search_3d(
     """Sparsest dominating pattern of tower form in Z^3.
 
     Bases searched are ((d,0,0), (e1,1,0), (e2,0,1)): one broadcast per line
-    of the last two coordinates, so the index is d. Largest d wins, with
-    (e1, e2) in ascending order breaking ties; d = 1 always dominates.
+    of the last two coordinates, so the index is d <= index_cap. Largest d
+    wins, with (e1, e2) in ascending order breaking ties.
     """
     if index_cap < 1:
         raise ValueError("index_cap must be at least 1")
-    top = min(index_cap, max_potential_d(3, params))
-    for d in range(top, 0, -1):
-        for e1 in range(d):
-            for e2 in range(d):
-                pattern = SublatticePattern(((d, 0, 0), (e1, 1, 0), (e2, 0, 1)))
-                if is_dominating_lattice(params, pattern, index_cap):
-                    return pattern
-    raise AssertionError("unreachable: the identity basis always dominates")
+    d, (e1, e2) = _tower_search(3, params, min(index_cap, max_potential_d(3, params)))
+    return SublatticePattern(((d, 0, 0), (e1, 1, 0), (e2, 0, 1)))

@@ -116,6 +116,24 @@ def brute_min_tower(t: int, r: int) -> tuple[int, int]:
     raise AssertionError("T(1, 0) always dominates")
 
 
+def brute_min_tower_3d(t: int, r: int, cap=None) -> tuple[int, int, int]:
+    """Sparsest dominating tower-form lattice of Z^3 by trying every candidate.
+
+    The basis ((d,0,0), (e1,1,0), (e2,0,1)) has index d. d runs down from
+    the coverage bound (or cap, when smaller) and (e1, e2) over range(d)^2
+    in lexicographic order, so the first basis whose box receptions all
+    reach r has the largest d and, for it, the least (e1, e2). No candidate
+    is skipped.
+    """
+    top = window_coverage(3, t, r) // r
+    for d in range(top if cap is None else min(cap, top), 0, -1):
+        for e1, e2 in itertools.product(range(d), repeat=2):
+            basis = ((d, 0, 0), (e1, 1, 0), (e2, 0, 1))
+            if min(brute_lattice_receptions(t, basis).values()) >= r:
+                return d, e1, e2
+    raise AssertionError("the identity basis always dominates")
+
+
 def brute_lattice_receptions(t: int, basis) -> dict:
     """Reception at each point of the box prod(range(basis[j][j])).
 

@@ -327,6 +327,36 @@ def test_greedy_bound_takes_each_vertex_once():
     assert result.upper_bound == 4
 
 
+def test_gamma_of_the_empty_graph_is_zero():
+    # No vertex needs reception, so the empty set dominates.
+    empty, params = FiniteGraph((), ()), Params(2, 1)
+    result = gamma_exact(empty, params)
+    assert (result.status, result.gamma, result.witness) == ("exact", 0, ())
+    assert (result.upper_bound, result.nodes) == (0, 0)
+    assert is_dominating_set(empty, (), params)
+
+
+@PROPERTY
+@given(st.integers(3, 7), st.integers(3, 7), st.integers(1, 4), st.data())
+def test_torus_translation_shifts_the_reception_map(a, b, t, data):
+    # Rotating both cycles maps C_a*C_b onto itself, so moving every
+    # broadcast by (p, q) moves the whole reception map by (p, q).
+    torus = parse_graph_expr(f"C{a}*C{b}")
+    broadcasts = data.draw(
+        st.lists(st.sampled_from(torus.labels), max_size=4, unique=True),
+        label="broadcasts",
+    )
+    p = data.draw(st.integers(0, a - 1), label="p")
+    q = data.draw(st.integers(0, b - 1), label="q")
+
+    def move(v):
+        return (v[0] + p) % a, (v[1] + q) % b
+
+    before = reception_map(torus, broadcasts, t)
+    after = reception_map(torus, [move(v) for v in broadcasts], t)
+    assert after == {move(v): value for v, value in before.items()}
+
+
 def test_solvers_do_not_read_the_distance_table(monkeypatch):
     def refuse(self):
         raise AssertionError("the all-pairs distance table was requested")

@@ -1,5 +1,6 @@
 """Tower and sublattice pattern verification against windowed oracles."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -22,6 +23,7 @@ from broadcastdom import (
     reception_table,
     tower_reception,
 )
+from broadcastdom.pattern_engine import _shift_vectors
 
 from _cases import (
     MIN_TOWER_PERIODS,
@@ -30,6 +32,7 @@ from _cases import (
     TOWER_CASES,
     brute_lattice_receptions,
     brute_min_tower,
+    brute_min_tower_3d,
     window_tower_receptions,
     window_tower_rows,
 )
@@ -119,6 +122,40 @@ def test_min_density_search_matches_unskipped_brute_search():
             assert (pattern.d, pattern.e) == brute_min_tower(t, r), (t, r)
 
 
+def test_plane_shift_walk_keeps_the_mirror_and_axis_swap_skips():
+    # In Z^2 the walk tries e <= d // 2 and drops each unit e whose inverse,
+    # or the inverse's mirror, is smaller: T(d, e^-1) is its axis swap.
+    for d in range(1, 61):
+        expected = [
+            e for e in range(d // 2 + 1)
+            if math.gcd(e, d) != 1 or min(pow(e, -1, d), -pow(e, -1, d) % d) >= e
+        ]
+        assert [e for (e,) in _shift_vectors(2, d)] == expected, d
+
+
+def test_space_shift_walk_drops_exactly_the_earlier_axis_swap_images():
+    # Swapping x with y_j maps the tower lattice onto another lattice; when
+    # gcd(e_j, d) = 1 its Hermite form is again a tower, whose shifts sorted
+    # up to sign give the image's least vector. The walk keeps a
+    # nondecreasing e <= d // 2 exactly when no such image comes first.
+    for d in range(1, 26):
+        kept = []
+        for e in itertools.combinations_with_replacement(range(d // 2 + 1), 2):
+            images = []
+            for j in (1, 2):
+                if math.gcd(e[j - 1], d) != 1:
+                    continue
+                order = [0, 1, 2]
+                order[0], order[j] = j, 0
+                columns = [(d, 0, 0), (e[0], 1, 0), (e[1], 0, 1)]
+                basis = hermite_normal_form([[c[k] for k in order] for c in columns])
+                assert [basis[k][k] for k in range(3)] == [d, 1, 1]
+                images.append(sorted(min(v, d - v) for v in (basis[1][0], basis[2][0])))
+            if all(image >= list(e) for image in images):
+                kept.append(e)
+        assert list(_shift_vectors(3, d)) == kept, d
+
+
 def test_hermite_normal_form():
     ident = ((1, 0), (0, 1))
     assert hermite_normal_form(ident) == ident
@@ -195,6 +232,30 @@ def test_lattice_search_3d_frozen_results():
     assert lattice_search_3d(Params(2, 2), index_cap=10).basis == (
         (4, 0, 0), (1, 1, 0), (2, 0, 1),
     )
+
+
+def test_lattice_search_3d_frozen_results_at_larger_t():
+    expected = {
+        (3, 1): "L(21,0,0; 2,1,0; 8,0,1)",
+        (4, 3): "L(27,0,0; 4,1,0; 10,0,1)",
+        (4, 4): "L(22,0,0; 5,1,0; 8,0,1)",
+        (4, 1): "L(55,0,0; 5,1,0; 21,0,1)",
+        (5, 3): "L(60,0,0; 9,1,0; 22,0,1)",
+    }
+    for (t, r), pattern in expected.items():
+        assert str(lattice_search_3d(Params(t, r))) == pattern, (t, r)
+
+
+def test_lattice_search_3d_matches_unskipped_brute_search():
+    # (3, 1) takes seconds in the oracle; it is pinned uncapped above.
+    cells = [(t, r) for t in range(1, 4) for r in range(1, t + 1)]
+    cases = [(t, r, None) for t, r in cells if (t, r) != (3, 1)]
+    cases += [(t, r, cap) for t, r in cells for cap in (5, 10)]
+    for t, r, cap in cases:
+        kwargs = {} if cap is None else {"index_cap": cap}
+        basis = lattice_search_3d(Params(t, r), **kwargs).basis
+        d, e1, e2 = brute_min_tower_3d(t, r, cap)
+        assert basis == ((d, 0, 0), (e1, 1, 0), (e2, 0, 1)), (t, r, cap)
 
 
 def test_lattice_search_3d_perfect_code():
@@ -304,6 +365,8 @@ def test_tower_kernel_matches_window_oracle(t, data):
     assert [y for y, _ in profile.rows] == list(range(t - 1, -t, -1))
     assert list(profile.rows) == window_tower_rows(t, d, e)
     assert is_dominating_tower(params, pattern) == (min(expected) >= r)
+    # Negation fixes the tower, so column d - i receives what column i does.
+    assert expected == [expected[-i % d] for i in range(d)]
 
 
 @PROPERTY
@@ -329,3 +392,33 @@ def test_tower_axis_swap_keeps_receptions(t, data):
     got = reception_table(params, TowerPattern(d, e)).receptions
     swapped = reception_table(params, TowerPattern(d, pow(e, -1, d))).receptions
     assert sorted(swapped) == sorted(got)
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.data())
+def test_tower_3d_symmetries_keep_receptions(t, data):
+    # Sign flips and permutations of the transverse axes, and swapping x with
+    # y_j when gcd(e_j, d) = 1, are isometries of Z^3 that carry the tower
+    # with shifts (e1, e2) onto another tower, so the receptions only move.
+    # Negation fixes the tower, so column d - i matches column i.
+    d = data.draw(st.integers(1, 40), label="d")
+    e = [data.draw(st.integers(0, d - 1), label=f"e{j + 1}") for j in range(2)]
+    params = Params(t, 1)
+
+    def receptions(e1, e2):
+        pattern = SublatticePattern(((d, 0, 0), (e1, 1, 0), (e2, 0, 1)))
+        return sorted(lattice_receptions(params, pattern).values())
+
+    basis = ((d, 0, 0), (e[0], 1, 0), (e[1], 0, 1))
+    columns = lattice_receptions(params, SublatticePattern(basis))
+    assert all(columns[(i, 0, 0)] == columns[(-i % d, 0, 0)] for i in range(d))
+    expected = receptions(*e)
+    assert receptions(-e[0] % d, e[1]) == expected
+    assert receptions(e[0], -e[1] % d) == expected
+    assert receptions(e[1], e[0]) == expected
+    for j, v in enumerate(e):
+        if math.gcd(v, d) == 1:
+            inverse = pow(v, -1, d)
+            image = [-inverse * u % d for u in e]
+            image[j] = inverse
+            assert receptions(*image) == expected, (j, image)
