@@ -306,6 +306,13 @@ def _min_cover(
     Choosing a row clears the columns it reaches and moves those it gives
     c < r down c planes; the ints are immutable, so a stack frame keeps its
     node's deficits and nothing is undone.
+
+    A node of the search is (u, hi, planes, m, mask): the next candidate
+    row, the last candidate worth trying, the deficits, the rows still to
+    choose after a candidate, and the column prune for min(m, r) of them.
+    Choosing u pushes the node as one frame and descends, so a candidate
+    does only its own work: the child deficits, one test that it changed
+    them, and the prunes read from tables indexed by u alone.
     """
     n = len(rows)
     if not n:
@@ -315,24 +322,35 @@ def _min_cover(
     hi_of_bit = [last_helper[v] for v in by_last_helper]
     bit = {v: 1 << p for p, v in enumerate(by_last_helper)}
     full, tile = (1 << n) - 1, sum(1 << (j * n) for j in range(r))
-    # reach[u]: the columns row u reaches; keep[u] clears them and shifts[u]
-    # lists (c * n, the columns given c < r), masks repeated per plane by tile.
-    reach, keep, shifts = [], [], []
+    # keep[u] clears the columns row u reaches and shifts[u] lists (c * n,
+    # the columns given c < r), masks repeated per plane by tile.
+    keep, shifts = [], []
     for row in rows:
         given = [0] * r  # given[0] gathers the columns that receive c >= r
         for v, c in row:
             given[c if c < r else 0] |= bit[v]
-        reach.append(sum(given))
-        keep.append((full ^ reach[-1]) * tile)
+        keep.append((full ^ sum(given)) * tile)
         shifts.append([(c * n, g * tile) for c, g in enumerate(given) if c and g])
     # Column prune: m more rows cannot cover a column whose best single-row
-    # contribution from rows >= s is c < r once its deficit exceeds m * c.
-    # cls[c] holds the columns of class c; prune[s][m - 1] (the last entry
-    # for every m >= r) has their bits in plane m * c.
+    # contribution from the rows left is c < r once its deficit exceeds
+    # m * c. cls[c] holds the columns of class c over the rows seen so far
+    # (from the last); prune(m) puts them in plane m * c, and prune(r)
+    # serves every m >= r. masks[j][u] is prune(j) and gain_after[u] the
+    # largest row total over the rows after u; masks[0] stays empty, as
+    # with no row left only child == 0 counts. No table is built per m: m
+    # runs up to the limit, which is n at t = 1, so it would be quadratic.
     best = [0] * n
     cls = [full] + [0] * (r - 1)
-    prune, best_gain = [[full] * r], [0]
+
+    def prune(m: int) -> int:
+        return sum(cls[c] << (m * c * n) for c in range((r - 1) // m + 1))
+
+    masks: list[list[int]] = [[] for _ in range(r + 1)]
+    gain_after, gain = [], 0
     for row in reversed(rows):
+        for j in range(1, r + 1):
+            masks[j].append(prune(j))
+        gain_after.append(gain)
         for v, c in row:
             if c > best[v]:
                 if best[v] < r:
@@ -340,56 +358,56 @@ def _min_cover(
                 if c < r:
                     cls[c] |= bit[v]
                 best[v] = c
-        prune.append([
-            sum(cls[c] << (m * c * n) for c in range((r - 1) // m + 1))
-            for m in range(1, r + 1)
-        ])
-        best_gain.append(max(best_gain[-1], sum(c for _, c in row)))
-    prune.reverse()
-    best_gain.reverse()
+        gain = max(gain, sum(c for _, c in row))
+    for column in masks:
+        column.reverse()
+    gain_after.reverse()
 
     upper = len(_greedy_witness(rows, r))
     limit = upper if size_cap is None else min(size_cap, upper)
+    multi = r > 1  # at r = 1 every shifts[u] is empty
     root = (1 << (n * r)) - 1
     nodes = 0
     for k in range(1, limit + 1):
-        if root & prune[0][min(k, r) - 1] or n * r > k * best_gain[0]:
+        if root & prune(min(k, r)) or n * r > k * gain:
             continue
         nodes += 1
         if nodes > node_budget:
             break
-        # One frame (u, hi, planes) per chosen row: its index and the
-        # candidate bound and deficits of the node it was chosen at.
-        stack: list[tuple[int, int, int]] = []
-        u, hi, planes = 0, hi_of_bit[0], root
+        # The frames' u are the rows chosen above the current node.
+        stack: list[tuple[int, int, int, int, list[int]]] = []
+        u, hi, planes, m = 0, hi_of_bit[0], root, k - 1
+        mask = masks[min(m, r)]
         while True:
             if u > hi:
                 if not stack:
                     break
-                u, hi, planes = stack.pop()
-                u += 1
-                continue
-            if not planes & reach[u]:
-                # u helps no deficient column now or later; a minimum set
-                # cannot contain it.
+                u, hi, planes, m, mask = stack.pop()
                 u += 1
                 continue
             child = planes & keep[u]
-            for shift, given in shifts[u]:
-                child |= (planes >> shift) & given
+            if multi:
+                for shift, given in shifts[u]:
+                    child |= (planes >> shift) & given
+            if child == planes:
+                # Every set bit has its copy in plane 0, so a row that
+                # reaches a deficient column lowers the popcount. This u
+                # reaches none, now or later; a minimum set cannot hold it.
+                u += 1
+                continue
             if not child:
                 # Frames hold increasing indices, so this is sorted.
                 return k, [frame[0] for frame in stack] + [u], upper, nodes
-            m = k - len(stack) - 1
-            if m and not child & prune[u + 1][min(m, r) - 1] and (
-                child.bit_count() <= m * best_gain[u + 1]
+            if m and not child & mask[u] and (
+                child.bit_count() <= m * gain_after[u]
             ):
                 nodes += 1
                 if nodes > node_budget:
                     return None, None, upper, nodes
-                stack.append((u, hi, planes))
+                stack.append((u, hi, planes, m, mask))
                 low = (child & -child).bit_length() - 1
-                u, hi, planes = u + 1, hi_of_bit[low], child
+                u, hi, planes, m = u + 1, hi_of_bit[low], child, m - 1
+                mask = masks[min(m, r)]
                 continue
             u += 1
     return None, None, upper, nodes

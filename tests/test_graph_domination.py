@@ -1,6 +1,7 @@
 """Finite graphs: construction, parsing, exact gamma, and the verifiers."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -194,16 +195,27 @@ def test_gamma_frozen_node_counts():
         assert (result.gamma, result.nodes) == (gamma, nodes), (expr, t, r)
 
 
+def test_rows_that_reach_no_deficit_are_not_chosen():
+    # On C3 x C7 at (2, 1) the column prunes alone would choose two rows
+    # that reach no deficient column (1,701 nodes); the search skips them.
+    result = gamma_exact(parse_graph_expr("C3*C7"), Params(2, 1))
+    assert (result.status, result.gamma, result.nodes) == ("exact", 6, 1699)
+
+
 def test_gamma_node_budget_edge():
-    g = parse_graph_expr("P5*P5")
-    gamma, nodes = GAMMA_NODE_COUNTS[("P5*P5", 2, 1)]
-    enough = gamma_exact(g, Params(2, 1), node_budget=nodes)
-    assert (enough.status, enough.gamma, enough.nodes) == ("exact", gamma, nodes)
-    short = gamma_exact(g, Params(2, 1), node_budget=nodes - 1)
-    assert short.status == "cap-exceeded"
-    assert short.gamma is None and short.witness is None
-    assert short.nodes == nodes
-    assert short.upper_bound == enough.upper_bound
+    # One, three and two deficit planes: the budget is checked where the
+    # search pushes a frame, on every plane count.
+    for expr, t, r in [("P5*P5", 2, 1), ("P6*P6", 3, 3), ("C7*C7", 3, 2)]:
+        g, params = parse_graph_expr(expr), Params(t, r)
+        gamma, nodes = GAMMA_NODE_COUNTS[(expr, t, r)]
+        enough = gamma_exact(g, params, node_budget=nodes)
+        assert enough == gamma_exact(g, params), (expr, t, r)
+        assert (enough.status, enough.gamma, enough.nodes) == ("exact", gamma, nodes)
+        short = gamma_exact(g, params, node_budget=nodes - 1)
+        assert short.status == "cap-exceeded", (expr, t, r)
+        assert short.gamma is None and short.witness is None
+        assert short.nodes == nodes
+        assert short.upper_bound == enough.upper_bound
 
 
 def test_gamma_node_budget_edge_on_tori():
@@ -227,6 +239,35 @@ def test_gamma_deep_search_is_not_recursion_bound():
     assert result.gamma == 1225
     assert result.witness == g.labels
     assert result.nodes == 1225
+
+
+def test_gamma_deep_search_memory_stays_linear():
+    # 1225 levels deep over 1225 rows: any table with one entry per level
+    # and row would hold 1.5 million entries.
+    g = parse_graph_expr("P35*P35")
+    tracemalloc.start()
+    try:
+        result = gamma_exact(g, Params(1, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.gamma, result.nodes) == (1225, 1225)
+    assert peak < 10_000_000
+
+
+@pytest.mark.parametrize("expr, t, r", [("P6*P6", 3, 3), ("P7*P7", 2, 1)])
+def test_gamma_size_cap_sweep(expr, t, r):
+    g, params = parse_graph_expr(expr), Params(t, r)
+    full = gamma_exact(g, params)
+    assert full.status == "exact"
+    for cap in range(full.gamma + 2):
+        result = gamma_exact(g, params, size_cap=cap)
+        if cap < full.gamma:
+            assert result.status == "cap-exceeded", cap
+            assert result.gamma is None and result.witness is None, cap
+            assert result.upper_bound == full.upper_bound, cap
+        else:
+            assert result == full, cap
 
 
 @st.composite
