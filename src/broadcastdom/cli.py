@@ -12,12 +12,18 @@ Each command hands one json payload and one text block to `_emit`; csv
 carries the payload's scalar fields under a header of their names (one row
 per table3 cell or vizing-scan pair). Only shell --enumerate, genfunc,
 bijection, tower-table and lattice-check write their own csv rows, because
-their csv lays the data out differently from their json.
+their csv lays the data out differently from their json. The text block and
+the rows may be zero-argument callables, and `_emit` calls only the one the
+chosen format prints: the large bodies of tower-table, lattice-check,
+shell --enumerate and genfunc are built on demand. json comes from `_dumps`,
+which writes the bytes of `json.dumps(..., indent=2)` without the standard
+library's pure-Python encoder. `main` parses with one parser per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import multiprocessing
 import os
@@ -25,6 +31,7 @@ import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
 from io import StringIO
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .coverage_bounds import (
@@ -60,7 +67,7 @@ from .pattern_engine import (
     DEFAULT_INDEX_CAP,
     SublatticePattern,
     TowerPattern,
-    is_dominating_lattice,
+    _check_index,
     lattice_receptions,
     lattice_search_3d,
     min_density_search,
@@ -92,27 +99,56 @@ def _pick(records, columns) -> list[list]:
     return [[record[col] for col in columns] for record in records]
 
 
-def _emit(args, payload: dict, text: str, columns, rows=None) -> None:
+def _dumps(obj, pad: str = "\n") -> str:
+    """The bytes of json.dumps(obj, indent=2), with `pad` opening each line.
+
+    With an indent, the standard library falls back to its pure-Python
+    encoder. Here containers are joined directly and lists of plain ints
+    (not bools) in one join; every other scalar still goes through
+    json.dumps. Dict keys must be str.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = (
+            encode_basestring_ascii(key) + ": " + _dumps(value, inner)
+            for key, value in obj.items()
+        )
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = (_dumps(x, inner) for x in obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(obj)
+
+
+def _emit(args, payload: dict, text, columns, rows=None) -> None:
     """Write the report in the chosen format to stdout or --output.
 
     json is the payload under the subcommand name; csv is the `columns`
     header over `rows`, which default to the payload's own values of those
-    columns as one row.
+    columns as one row. `text` and `rows` may be zero-argument callables,
+    called only when their format is the one chosen.
     """
     if args.format == "json":
         envelope = {"command": args.command, **payload}
         if not args.no_timestamp:
             envelope["generated_at"] = datetime.now(timezone.utc).isoformat()
-        body = json.dumps(envelope, indent=2) + "\n"
+        body = _dumps(envelope) + "\n"
     elif args.format == "csv":
         import csv as _csv
 
+        if callable(rows):
+            rows = rows()
         buf = StringIO()
         writer = _csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(_pick([payload], columns) if rows is None else rows)
         body = buf.getvalue()
     else:
+        if callable(text):
+            text = text()
         body = text if text.endswith("\n") else text + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -135,8 +171,8 @@ def _cmd_shell(args) -> int:
         points = shell_enumerate(args.n, args.d, cap=args.cap)
         payload["points"] = [list(p) for p in points]
         columns.append("point")
-        rows = [[args.n, args.d, str(size), _point_str(p)] for p in points]
-        text = "\n".join(_point_str(p) for p in points) or "(no points)"
+        rows = lambda: [[args.n, args.d, str(size), _point_str(p)] for p in points]
+        text = lambda: "\n".join(_point_str(p) for p in points) or "(no points)"
     _emit(args, payload, text, columns, rows)
     return EXIT_OK
 
@@ -156,18 +192,20 @@ def _cmd_genfunc(args) -> int:
     if args.kind in ("B_bivariate", "S_bivariate"):
         payload["coefficients"] = [[str(c) for c in row] for row in coeffs]
         header = ["i", "j", "coefficient"]
-        rows = [
+        rows = lambda: [
             [i, j, str(c)] for i, row in enumerate(coeffs) for j, c in enumerate(row)
         ]
-        width = max(len(str(c)) for row in coeffs for c in row)
-        text = "\n".join(
-            " ".join(str(c).rjust(width) for c in row) for row in coeffs
-        )
+
+        def text() -> str:
+            width = max(len(str(c)) for row in coeffs for c in row)
+            return "\n".join(
+                " ".join(str(c).rjust(width) for c in row) for row in coeffs
+            )
     else:
         payload["coefficients"] = [str(c) for c in coeffs]
         header = ["index", "coefficient"]
-        rows = [[i, str(c)] for i, c in enumerate(coeffs)]
-        text = " ".join(str(c) for c in coeffs)
+        rows = lambda: [[i, str(c)] for i, c in enumerate(coeffs)]
+        text = lambda: " ".join(str(c) for c in coeffs)
     _emit(args, payload, text, header, rows)
     return EXIT_OK
 
@@ -288,9 +326,10 @@ def _cmd_tower_table(args) -> int:
         "dominating": dominating,
     }
     header = ["y"] + [str(i) for i in range(args.d)]
-    rows = [[y, *vec] for y, vec in profile.rows]
-    rows.append(["Sum", *profile.receptions])
-    _emit(args, payload, _table_text(profile), header, rows)
+    rows = lambda: [
+        [y, *vec] for y, vec in (*profile.rows, ("Sum", profile.receptions))
+    ]
+    _emit(args, payload, lambda: _table_text(profile), header, rows)
     return EXIT_OK
 
 
@@ -349,8 +388,10 @@ def _cmd_table3(args) -> int:
 def _cmd_lattice_check(args) -> int:
     params = Params(args.t, args.r)
     pattern = SublatticePattern(_parse_basis(args.basis))
-    dominating = is_dominating_lattice(params, pattern, index_cap=args.index_cap)
+    _check_index(pattern.index, args.index_cap)
     receptions = lattice_receptions(params, pattern)
+    # A coset that no offset reaches reads 0 < r.
+    dominating = all(v >= args.r for v in receptions.values())
     payload = {
         "t": args.t, "r": args.r,
         "basis": [list(col) for col in pattern.basis],
@@ -362,12 +403,13 @@ def _cmd_lattice_check(args) -> int:
             for rep, val in receptions.items()
         ],
     }
-    header = ["coset", "reception"]
-    rows = [[_point_str(rep), val] for rep, val in receptions.items()]
+    rows = lambda: [[_point_str(rep), val] for rep, val in receptions.items()]
     verdict = "dominates" if dominating else "does not dominate"
-    lines = [f"{pattern} (index {pattern.index}) {verdict} under ({args.t},{args.r})"]
-    lines.extend(f"{_point_str(rep)}: {val}" for rep, val in receptions.items())
-    _emit(args, payload, "\n".join(lines), header, rows)
+    text = lambda: "\n".join([
+        f"{pattern} (index {pattern.index}) {verdict} under ({args.t},{args.r})",
+        *(f"{_point_str(rep)}: {val}" for rep, val in receptions.items()),
+    ])
+    _emit(args, payload, text, ["coset", "reception"], rows)
     return EXIT_OK if dominating else EXIT_FALSE
 
 
@@ -683,10 +725,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was and every default is immutable,
+    # so one parser serves every main() call in the process.
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.threads < 0:

@@ -80,10 +80,15 @@ def delannoy(m: int, k: int) -> int:
 
 def _shell_points(n: int, d: int) -> Iterator[LatticePoint]:
     # First coordinate ascending, rest recursive: yields points in
-    # lexicographic order.
+    # lexicographic order. The last coordinate can only be -d or d.
     if n == 0:
         if d == 0:
             yield ()
+        return
+    if n == 1:
+        yield (-d,)
+        if d:
+            yield (d,)
         return
     for x in range(-d, d + 1):
         rest = d - abs(x)

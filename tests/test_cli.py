@@ -13,7 +13,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from broadcastdom import cli
 from broadcastdom.cli import main
 
 FIXTURE_DIR = Path(__file__).parent / "data"
@@ -277,6 +280,51 @@ def test_unknown_subcommand_and_seedless(capsys):
     code, out, _ = run(capsys, "delannoy", "2", "2", "--seedless")
     assert code == 0
     assert out == "13\n"
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(st.characters(exclude_categories=())),  # quotes, controls, surrogates
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | st.lists(st.integers()) | st.lists(st.integers() | st.booleans()),
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+@example({"a": [], "b": {}, "c": [[], {}, (), [[{}]]], "d": {"e": {"f": []}}})
+@example([True, 1, False, 0])
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300])
+@example({"\u00e9\"\n\x00": "\ud800\u2028", "": None})
+def test_dumps_matches_indented_json(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+def test_main_reuses_one_parser():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_json_and_csv_skip_the_text_table(capsys, monkeypatch):
+    def refuse(profile):
+        raise AssertionError("text table built for a json or csv report")
+
+    monkeypatch.setattr(cli, "_table_text", refuse)
+    for fmt in ("json", "csv"):
+        code, out, _ = run(capsys, "tower-table", "4", "2", "18", "5",
+                           "--format", fmt, "--no-timestamp")
+        assert code == 0 and out
 
 
 def test_module_entry_point():

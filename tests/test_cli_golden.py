@@ -125,6 +125,24 @@ def test_cli_matches_golden(golden, index, argv):
     assert got == expected
 
 
+def test_reused_parser_keeps_golden_bytes(golden, tmp_path):
+    # main parses with one parser per process: no run may leak into the next.
+    expected = {tuple(entry["argv"]): entry for entry in golden}
+    plain = ["shell", "2", "3"]
+    for before in (["shell", "2", "x"],  # SystemExit inside parse_args
+                   ["shell", "2", "3", "--enumerate", "--format", "csv"],
+                   ["lattice-check", "4", "2", "--basis", "18,0;5,1"]):
+        capture(before)
+        assert capture(plain) == expected[tuple(plain)]
+    report = ["tower-table", "4", "2", "18", "5", "--format", "json",
+              "--no-timestamp"]
+    target = tmp_path / "report.json"
+    got = capture(report + ["--output", str(target)])
+    assert (got["exit"], got["stdout"]) == (expected[tuple(report)]["exit"], "")
+    assert target.read_text(encoding="utf-8") == expected[tuple(report)]["stdout"]
+    assert capture(report) == expected[tuple(report)]
+
+
 if __name__ == "__main__":
     entries = [capture(argv) for argv in CASES]
     entries += [{"argv": argv, "exit": capture(argv)["exit"]}

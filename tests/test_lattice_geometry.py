@@ -81,12 +81,12 @@ def test_shell_polynomials():
 
 
 def test_shell_enumerate_content_and_order():
-    for n in range(0, 4):
-        for d in range(0, 5):
+    # brute_shell filters itertools.product, which is lexicographic.
+    for n in range(0, 5):
+        for d in range(0, 7):
             points = shell_enumerate(n, d)
             assert len(points) == shell_size(n, d), (n, d)
-            assert set(points) == set(brute_shell(n, d)), (n, d)
-            assert points == sorted(points), (n, d)
+            assert points == brute_shell(n, d), (n, d)
 
 
 def test_shell_enumerate_cap():
