@@ -18,6 +18,9 @@ chosen format prints: the large bodies of tower-table, lattice-check,
 shell --enumerate and genfunc are built on demand. json comes from `_dumps`,
 which writes the bytes of `json.dumps(..., indent=2)` without the standard
 library's pure-Python encoder. `main` parses with one parser per process.
+The worker pool of `table3 --threads` and the json timestamp import their
+standard-library modules on the path that uses them, so other commands do
+not pay for those imports at start-up.
 """
 
 from __future__ import annotations
@@ -25,11 +28,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import multiprocessing
 import os
 import sys
 from contextlib import nullcontext
-from datetime import datetime, timezone
 from io import StringIO
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
@@ -134,6 +135,8 @@ def _emit(args, payload: dict, text, columns, rows=None) -> None:
     if args.format == "json":
         envelope = {"command": args.command, **payload}
         if not args.no_timestamp:
+            from datetime import datetime, timezone
+
             envelope["generated_at"] = datetime.now(timezone.utc).isoformat()
         body = _dumps(envelope) + "\n"
     elif args.format == "csv":
@@ -357,6 +360,8 @@ def _cmd_table3(args) -> int:
     cells = [(t, r) for t in range(1, args.tmax + 1) for r in range(1, t + 1)]
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     parallel = threads > 1 and len(cells) > 1
+    if parallel:
+        import multiprocessing
     results = []
     with multiprocessing.Pool(processes=threads) if parallel else nullcontext() as pool:
         for entry in (pool.imap if parallel else map)(_table3_cell, cells):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .lattice_geometry import shell_size
 
@@ -67,36 +66,39 @@ def coverage(n: int, params: Params) -> int:
 
 
 # Closed forms of coverage(n, (t, r)) for small n, as polynomials in t and r.
-# Keyed by n; each entry maps (t_power, r_power) to a Fraction coefficient.
-_CLOSED_FORMS: dict[int, dict[tuple[int, int], Fraction]] = {
+# Keyed by n; each entry maps (t_power, r_power) to an integer numerator over
+# the common denominator _CLOSED_FORM_DENOMINATOR, so that 2/15 is stored as
+# 2 and 4/3 as 20, and the sum stays in exact integers.
+_CLOSED_FORM_DENOMINATOR = 15
+_CLOSED_FORMS: dict[int, dict[tuple[int, int], int]] = {
     1: {
-        (1, 1): Fraction(2),
-        (0, 2): Fraction(-1),
+        (1, 1): 30,
+        (0, 2): -15,
     },
     2: {
-        (0, 3): Fraction(2, 3),
-        (1, 2): Fraction(-2),
-        (2, 1): Fraction(2),
-        (0, 1): Fraction(1, 3),
+        (0, 3): 10,
+        (1, 2): -30,
+        (2, 1): 30,
+        (0, 1): 5,
     },
     3: {
-        (0, 4): Fraction(-1, 3),
-        (1, 3): Fraction(4, 3),
-        (2, 2): Fraction(-2),
-        (0, 2): Fraction(-2, 3),
-        (3, 1): Fraction(4, 3),
-        (1, 1): Fraction(4, 3),
+        (0, 4): -5,
+        (1, 3): 20,
+        (2, 2): -30,
+        (0, 2): -10,
+        (3, 1): 20,
+        (1, 1): 20,
     },
     4: {
-        (0, 5): Fraction(2, 15),
-        (1, 4): Fraction(-2, 3),
-        (2, 3): Fraction(4, 3),
-        (0, 3): Fraction(2, 3),
-        (3, 2): Fraction(-4, 3),
-        (1, 2): Fraction(-2),
-        (4, 1): Fraction(2, 3),
-        (2, 1): Fraction(2),
-        (0, 1): Fraction(1, 5),
+        (0, 5): 2,
+        (1, 4): -10,
+        (2, 3): 20,
+        (0, 3): 10,
+        (3, 2): -20,
+        (1, 2): -30,
+        (4, 1): 10,
+        (2, 1): 30,
+        (0, 1): 3,
     },
 }
 
@@ -105,16 +107,17 @@ def coverage_closed_form(n: int, params: Params) -> int:
     """Coverage via the closed-form polynomial, available for n in 1..4.
 
     Agrees with coverage(n, params) on every valid input; the polynomial is
-    exact, so the Fraction total is always an integer.
+    exact, so the numerator total is always divisible by the denominator.
     """
     if n not in _CLOSED_FORMS:
         raise ValueError(f"no closed form for dimension {n}; use coverage()")
     t, r = params.t, params.r
-    total = Fraction(0)
-    for (tp, rp), coeff in _CLOSED_FORMS[n].items():
-        total += coeff * t**tp * r**rp
-    assert total.denominator == 1
-    return int(total)
+    total = sum(
+        coeff * t**tp * r**rp for (tp, rp), coeff in _CLOSED_FORMS[n].items()
+    )
+    value, remainder = divmod(total, _CLOSED_FORM_DENOMINATOR)
+    assert remainder == 0
+    return value
 
 
 def domination_lower_bound(grid: GridDims, params: Params) -> int:

@@ -52,12 +52,19 @@ def shell_size(n: int, d: int) -> int:
 
 
 def ball_size(n: int, d: int) -> int:
-    """Number of points of Z^n at L1 distance at most d from the origin."""
+    """Number of points of Z^n at L1 distance at most d from the origin.
+
+    The Delannoy sum: choose the i coordinates that are nonzero, sign them,
+    and fix their magnitudes by their partial sums, which are i distinct
+    values in 1..d.
+    """
     if n < 0:
         raise ValueError("dimension must be nonnegative")
     if d < 0:
         raise ValueError("distance must be nonnegative")
-    return sum(shell_size(n, k) for k in range(d + 1))
+    return sum(
+        math.comb(n, i) * math.comb(d, i) * 2**i for i in range(min(n, d) + 1)
+    )
 
 
 def delannoy(m: int, k: int) -> int:

@@ -1,15 +1,18 @@
 """End-to-end checks of the command-line interface.
 
 Commands run in-process through main(argv) so exit codes and both output
-streams are observable; one subprocess test confirms the module entry
-point works outside the test harness.
+streams are observable; subprocess tests confirm the module entry point
+works outside the test harness and that importing the CLI leaves the
+standard-library modules it does not need unloaded.
 """
 
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from broadcastdom import cli
 from broadcastdom.cli import main
 
 FIXTURE_DIR = Path(__file__).parent / "data"
+SRC_DIR = Path(__file__).parent.parent / "src"
 
 TOWER_TABLE_4_2_18_5 = """\
     |  0  1  2  3  4  5  6  7  8  9 10 11 12 13 14 15 16 17
@@ -69,7 +73,9 @@ def test_counts_are_decimal_strings(capsys):
 def test_json_timestamp_toggle(capsys):
     code, out, _ = run(capsys, "shell", "2", "3", "--format", "json")
     assert code == 0
-    assert "generated_at" in json.loads(out)
+    stamp = json.loads(out)["generated_at"]
+    datetime.fromisoformat(stamp)
+    assert stamp.endswith("+00:00")
     code, out2, _ = run(capsys, "shell", "2", "3", "--format", "json",
                         "--no-timestamp")
     assert code == 0
@@ -334,3 +340,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "12\n"
+
+
+def test_cli_import_skips_unused_stdlib_modules():
+    # A fresh interpreter: the test process itself may already hold these.
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import broadcastdom.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+    )
+    loaded = set(proc.stdout.split())
+    assert "broadcastdom.cli" in loaded
+    for name in ("multiprocessing", "datetime", "fractions", "decimal"):
+        assert name not in loaded, name

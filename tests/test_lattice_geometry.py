@@ -69,6 +69,8 @@ def test_delannoy_matches_reference_and_symmetry():
             assert value == delannoy_reference(m, k), (m, k)
             assert value == delannoy(k, m), (m, k)
             assert value == ball_size(m, k) == ball_size(k, m), (m, k)
+    for k in (0, 1, 12, 40):
+        assert ball_size(0, k) == ball_size(k, 0) == delannoy(0, k) == 1, k
 
 
 def test_shell_polynomials():
