@@ -10,6 +10,18 @@ size. The search keeps the deficits as r bit-planes, one bit per vertex in
 the order of the last vertex whose ball reaches it (see _min_cover). The
 verification helpers package small-graph facts: the two-broadcast cycle, the
 torus pair that beats the product bound, and product scans over graph pairs.
+
+The search meets the same subtree many times, within a deepening level and
+across levels: P7 x P7 at (2, 1) pushes 52,012 nodes over 4,737 distinct
+states. A subtree is fixed by its first candidate row, its deficits and the
+rows still to choose, so _min_cover keeps, for the whole call, the node
+count of every subtree that failed and pushed at least one node, and adds
+that count instead of walking the subtree again. Only failed subtrees are
+kept because one that finds a set ends the search. The memo takes no entries
+once it holds _MEMO_CAP, which bounds its memory where states rarely repeat.
+The tree, its visiting order, the witness and the node count are those of
+the full walk; a node budget that runs out inside a skipped subtree reports
+node_budget + 1 nodes, as the walk would have.
 """
 
 from __future__ import annotations
@@ -21,6 +33,9 @@ from typing import Hashable, Iterable, Optional, Sequence
 from .coverage_bounds import Params
 
 DEFAULT_NODE_BUDGET = 5_000_000
+# Most entries _min_cover keeps in its memo of failed subtrees; full, the
+# memo adds about 1.5 MB to the search on C10 x C10 at (3, 2).
+_MEMO_CAP = 1 << 14
 
 Label = Hashable
 
@@ -298,11 +313,12 @@ def _min_cover(
     are None when size_cap or node_budget ran out first.
 
     The deficits are r bit-planes of n bits, packed into one int with plane j
-    at bits j*n to j*n + n - 1: plane j has a column's bit while its deficit
-    exceeds j, so the popcount is the total deficit and every set bit has its
-    copy in plane 0. Bit p of a plane is the column with the p-th smallest
-    last helper (the last row that reaches it), so the lowest set bit names
-    the deficient column whose last helper bounds the rows worth trying.
+    at bits w + j*n to w + j*n + n - 1; the w low bits stay clear for the
+    memo below. Plane j has a column's bit while its deficit exceeds j, so
+    the popcount is the total deficit and every set bit has its copy in
+    plane 0. Bit p of a plane is the column with the p-th smallest last
+    helper (the last row that reaches it), so the lowest set bit names the
+    deficient column whose last helper bounds the rows worth trying.
     Choosing a row clears the columns it reaches and moves those it gives
     c < r down c planes; the ints are immutable, so a stack frame keeps its
     node's deficits and nothing is undone.
@@ -313,15 +329,30 @@ def _min_cover(
     Choosing u pushes the node as one frame and descends, so a candidate
     does only its own work: the child deficits, one test that it changed
     them, and the prunes read from tables indexed by u alone.
+
+    The child's subtree depends on u, child and m alone (its first
+    candidate is u + 1, hi and mask follow from child and m - 1), so the
+    memo failed maps the key child | (u * n + m), with u * n + m < n * n in
+    the w clear bits, to the nodes pushed below the child. A frame is
+    stored when it pops, and only if the subtree pushed a node: every pop is
+    a subtree that failed, since a set found below it returns at once. A
+    candidate that passes the prunes costs one lookup; on a hit it adds 1
+    plus the stored count to nodes and moves on, and a total over
+    node_budget returns node_budget + 1, the count at which the walk would
+    have stopped inside the subtree. The memo is shared by every deepening
+    level and takes no entries once it holds _MEMO_CAP.
     """
     n = len(rows)
     if not n:
         return 0, [], 0, 0
     last_helper = {v: u for u, row in enumerate(rows) for v, _ in row}
     by_last_helper = sorted(range(n), key=last_helper.__getitem__)
-    hi_of_bit = [last_helper[v] for v in by_last_helper]
-    bit = {v: 1 << p for p, v in enumerate(by_last_helper)}
-    full, tile = (1 << n) - 1, sum(1 << (j * n) for j in range(r))
+    # The planes start at bit width (w above), so a memo key is one int,
+    # half the memory of a (u, child, m) tuple.
+    width = (n * n).bit_length()
+    hi_of_bit = [0] * width + [last_helper[v] for v in by_last_helper]
+    bit = {v: 1 << (width + p) for p, v in enumerate(by_last_helper)}
+    full, tile = ((1 << n) - 1) << width, sum(1 << (j * n) for j in range(r))
     # keep[u] clears the columns row u reaches and shifts[u] lists (c * n,
     # the columns given c < r), masks repeated per plane by tile.
     keep, shifts = [], []
@@ -366,23 +397,27 @@ def _min_cover(
     upper = len(_greedy_witness(rows, r))
     limit = upper if size_cap is None else min(size_cap, upper)
     multi = r > 1  # at r = 1 every shifts[u] is empty
-    root = (1 << (n * r)) - 1
+    root = full * tile
     nodes = 0
+    failed: dict[int, int] = {}
     for k in range(1, limit + 1):
         if root & prune(min(k, r)) or n * r > k * gain:
             continue
         nodes += 1
         if nodes > node_budget:
             break
-        # The frames' u are the rows chosen above the current node.
-        stack: list[tuple[int, int, int, int, list[int]]] = []
-        u, hi, planes, m = 0, hi_of_bit[0], root, k - 1
+        # The frames' u are the rows chosen above the current node; a frame
+        # also keeps its child's memo key and the node count at the push.
+        stack: list[tuple[int, int, int, int, list[int], int, int]] = []
+        u, hi, planes, m = 0, hi_of_bit[width], root, k - 1
         mask = masks[min(m, r)]
         while True:
             if u > hi:
                 if not stack:
                     break
-                u, hi, planes, m, mask = stack.pop()
+                u, hi, planes, m, mask, key, start = stack.pop()
+                if nodes > start and len(failed) < _MEMO_CAP:
+                    failed[key] = nodes - start
                 u += 1
                 continue
             child = planes & keep[u]
@@ -401,14 +436,22 @@ def _min_cover(
             if m and not child & mask[u] and (
                 child.bit_count() <= m * gain_after[u]
             ):
-                nodes += 1
+                key = child | (u * n + m)
+                below = failed.get(key)
+                if below is None:
+                    nodes += 1
+                    if nodes > node_budget:
+                        return None, None, upper, nodes
+                    stack.append((u, hi, planes, m, mask, key, nodes))
+                    low = (child & -child).bit_length() - 1
+                    u, hi, planes, m = u + 1, hi_of_bit[low], child, m - 1
+                    mask = masks[min(m, r)]
+                    continue
+                nodes += 1 + below
                 if nodes > node_budget:
-                    return None, None, upper, nodes
-                stack.append((u, hi, planes, m, mask))
-                low = (child & -child).bit_length() - 1
-                u, hi, planes, m = u + 1, hi_of_bit[low], child, m - 1
-                mask = masks[min(m, r)]
-                continue
+                    # The walk would have stopped inside the subtree, at
+                    # the first node over the budget.
+                    return None, None, upper, node_budget + 1
             u += 1
     return None, None, upper, nodes
 
@@ -596,15 +639,15 @@ def vizing_scan(
     for expr_g, expr_h in pairs:
         g = parse_graph_expr(expr_g)
         h = parse_graph_expr(expr_h)
-        product = g.box_product(h)
-        results = {
-            "g": gamma_exact(g, params, node_budget=node_budget),
-            "h": gamma_exact(h, params, node_budget=node_budget),
-            "gh": gamma_exact(product, params, node_budget=node_budget),
-            "g1": gamma_exact(g, base, node_budget=node_budget),
-            "h1": gamma_exact(h, base, node_budget=node_budget),
-            "gh1": gamma_exact(product, base, node_budget=node_budget),
-        }
+        results = {}
+        for name, graph in (("g", g), ("h", h), ("gh", g.box_product(h))):
+            results[name] = gamma_exact(graph, params, node_budget=node_budget)
+            # At r = 1 the (t, 1) search is the one just run.
+            results[name + "1"] = (
+                results[name]
+                if r == 1
+                else gamma_exact(graph, base, node_budget=node_budget)
+            )
         if all(res.status == "exact" for res in results.values()):
             status = "exact"
             gh = results["gh"].gamma

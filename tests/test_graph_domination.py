@@ -1,7 +1,9 @@
 """Finite graphs: construction, parsing, exact gamma, and the verifiers."""
 
 import itertools
+import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from broadcastdom import (
     verify_torus_counterexample,
     vizing_scan,
 )
+import broadcastdom.graph_domination as graph_domination
 from broadcastdom.graph_domination import _greedy_witness
 
 from _cases import (
@@ -185,6 +188,8 @@ GAMMA_NODE_COUNTS = {
     ("P7*P7", 3, 2): (8, 9046),
     ("C8*C8", 3, 2): (8, 9592),
     ("C7*C7", 3, 2): (7, 14945),
+    ("P6*P8", 2, 1): (12, 101716),
+    ("P8*P8", 2, 1): (16, 1075215),
 }
 
 
@@ -193,6 +198,90 @@ def test_gamma_frozen_node_counts():
         result = gamma_exact(parse_graph_expr(expr), Params(t, r))
         assert result.status == "exact", (expr, t, r)
         assert (result.gamma, result.nodes) == (gamma, nodes), (expr, t, r)
+
+
+def gamma_without_memo(*args, **kwargs):
+    """gamma_exact with the memo of failed subtrees taking no entries."""
+    with mock.patch.object(graph_domination, "_MEMO_CAP", 0):
+        return gamma_exact(*args, **kwargs)
+
+
+def test_memo_keeps_every_result():
+    # The memo only skips subtrees whose node count it already knows, so
+    # the status, gamma, witness, bound and node count all stay the same.
+    for expr, t, r in GAMMA_NODE_COUNTS:
+        g, params = parse_graph_expr(expr), Params(t, r)
+        assert gamma_exact(g, params) == gamma_without_memo(g, params), (expr, t, r)
+
+
+def budget_run(g, params, budget):
+    """gamma_exact, and whether the budget ran out inside a skipped subtree.
+
+    The search returns node_budget + 1 either way; only its local count,
+    read when _min_cover returns, shows the jump that crossed the budget.
+    """
+    counts = []
+
+    def on_return(frame, event, arg):
+        if event == "return":
+            counts.append(frame.f_locals["nodes"])
+        return on_return
+
+    def on_call(frame, event, arg):
+        if frame.f_code is not graph_domination._min_cover.__code__:
+            return None
+        frame.f_trace_lines = False
+        return on_return
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        result = gamma_exact(g, params, node_budget=budget)
+    finally:
+        sys.settrace(previous)
+    return result, counts[0] > budget + 1
+
+
+def test_gamma_node_budget_sweep():
+    # Every budget below the node count stops the search at budget + 1
+    # nodes, also where the budget runs out inside a subtree the memo skips.
+    jumps = 0
+    for expr, t, r in [("P5*P5", 2, 1), ("C6*C6", 3, 2)]:
+        g, params = parse_graph_expr(expr), Params(t, r)
+        full = gamma_exact(g, params)
+        assert full.nodes == GAMMA_NODE_COUNTS[(expr, t, r)][1]
+        for budget in range(full.nodes + 1):
+            result, jumped = budget_run(g, params, budget)
+            jumps += jumped
+            if budget == full.nodes:
+                assert result == full and not jumped
+                continue
+            assert result.status == "cap-exceeded", (expr, budget)
+            assert result.gamma is None and result.witness is None
+            assert result.nodes == budget + 1, (expr, budget)
+            assert result.upper_bound == full.upper_bound, (expr, budget)
+    assert jumps
+
+
+def test_memo_memory_is_capped(monkeypatch):
+    # C10 x C10 at (3, 2) rarely meets a state twice, so without the cap
+    # the memo grows with the search. A smaller cap makes the bound bite
+    # within a budget that tracemalloc can afford.
+    g, params = parse_graph_expr("C10*C10"), Params(3, 2)
+    gamma_exact(g, params, node_budget=1000)  # fill the free lists first
+
+    def peak(cap):
+        monkeypatch.setattr(graph_domination, "_MEMO_CAP", cap)
+        tracemalloc.start()
+        try:
+            result = gamma_exact(g, params, node_budget=5000)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (result.status, result.nodes) == ("cap-exceeded", 5001)
+        return top
+
+    assert peak(1 << 8) < 150_000 < peak(1 << 30)
 
 
 def test_rows_that_reach_no_deficit_are_not_chosen():
@@ -298,6 +387,24 @@ def test_gamma_exact_matches_brute_force_on_random_products(expr, t, data):
     result = gamma_exact(g, Params(t, r))
     assert result.status == "exact"
     assert (result.gamma, result.witness) == (size, witness)
+
+
+@PROPERTY
+@given(
+    graph_exprs(max_vertices=24),
+    st.integers(1, 4),
+    st.one_of(st.none(), st.integers(0, 12)),
+    st.integers(0, 3000),
+    st.data(),
+)
+def test_memo_keeps_every_result_on_random_products(
+    expr, t, size_cap, budget, data
+):
+    r = data.draw(st.integers(1, t))
+    g, params = parse_graph_expr(expr), Params(t, r)
+    assert gamma_exact(g, params, size_cap, budget) == gamma_without_memo(
+        g, params, size_cap, budget
+    )
 
 
 @st.composite
@@ -517,6 +624,22 @@ def test_vizing_scan_small_pairs():
     second = reports[1]
     assert (second.gamma_g, second.gamma_h, second.gamma_product) == (3, 4, 12)
     assert second.gamma_product_t1 == 12
+
+
+@pytest.mark.parametrize("r, calls", [(1, 3), (2, 6)])
+def test_vizing_scan_runs_each_search_once(monkeypatch, r, calls):
+    # At r = 1 the (t, r) and (t, 1) searches are the same search.
+    seen = []
+
+    def counting(graph, params, **kwargs):
+        seen.append(params)
+        return gamma_exact(graph, params, **kwargs)
+
+    pairs = [("P3", "C4"), ("P2*P2", "P3")]
+    expected = vizing_scan(pairs, Params(3, r))
+    monkeypatch.setattr(graph_domination, "gamma_exact", counting)
+    assert vizing_scan(pairs, Params(3, r)) == expected
+    assert len(seen) == calls * len(pairs)
 
 
 def test_vizing_scan_cap_exceeded():
