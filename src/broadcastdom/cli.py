@@ -10,17 +10,20 @@ goes to stderr only.
 
 Each command hands one json payload and one text block to `_emit`; csv
 carries the payload's scalar fields under a header of their names (one row
-per table3 cell or vizing-scan pair). Only shell --enumerate, genfunc,
-bijection, tower-table and lattice-check write their own csv rows, because
-their csv lays the data out differently from their json. The text block and
-the rows may be zero-argument callables, and `_emit` calls only the one the
-chosen format prints: the large bodies of tower-table, lattice-check,
-shell --enumerate and genfunc are built on demand. json comes from `_dumps`,
-which writes the bytes of `json.dumps(..., indent=2)` without the standard
-library's pure-Python encoder. `main` parses with one parser per process.
-The worker pool of `table3 --threads` and the json timestamp import their
-standard-library modules on the path that uses them, so other commands do
-not pay for those imports at start-up.
+per table3 cell or vizing-scan pair). The payloads of gamma, verify-torus,
+verify-lemma2 and vizing-scan are read from the library's result records, so
+a new record field reaches the json without an edit here. shell --enumerate,
+genfunc, bijection, tower-table and lattice-check write their own csv rows,
+because their csv lays the data out differently from their json; lower-bound
+and gamma write theirs to flatten dims and witness into one cell. The text
+block and the rows may be zero-argument callables, and `_emit` calls only
+the one the chosen format prints: the large bodies of tower-table,
+lattice-check, shell --enumerate and genfunc are built on demand. json comes
+from `_dumps`, which writes the bytes of `json.dumps(..., indent=2)` without
+the standard library's pure-Python encoder. `main` parses with one parser
+per process. The worker pool of `table3 --threads` and the json timestamp
+import their standard-library modules on the path that uses them, so other
+commands do not pay for those imports at start-up.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ from .pattern_engine import (
     DEFAULT_INDEX_CAP,
     SublatticePattern,
     TowerPattern,
-    _check_index,
     lattice_receptions,
     lattice_search_3d,
     min_density_search,
@@ -95,11 +97,6 @@ def _parse_basis(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(cols)
 
 
-def _pick(records, columns) -> list[list]:
-    """One csv row per record: its values under `columns`, in order."""
-    return [[record[col] for col in columns] for record in records]
-
-
 def _dumps(obj, pad: str = "\n") -> str:
     """The bytes of json.dumps(obj, indent=2), with `pad` opening each line.
 
@@ -124,13 +121,14 @@ def _dumps(obj, pad: str = "\n") -> str:
     return json.dumps(obj)
 
 
-def _emit(args, payload: dict, text, columns, rows=None) -> None:
+def _emit(args, payload: dict, text, columns=None, rows=None) -> None:
     """Write the report in the chosen format to stdout or --output.
 
     json is the payload under the subcommand name; csv is the `columns`
-    header over `rows`, which default to the payload's own values of those
-    columns as one row. `text` and `rows` may be zero-argument callables,
-    called only when their format is the one chosen.
+    header, by default the payload's keys, over `rows`, which default to the
+    payload's own values of those columns as one row. `text` and `rows` may
+    be zero-argument callables, called only when their format is the one
+    chosen.
     """
     if args.format == "json":
         envelope = {"command": args.command, **payload}
@@ -144,10 +142,12 @@ def _emit(args, payload: dict, text, columns, rows=None) -> None:
 
         if callable(rows):
             rows = rows()
+        if columns is None:
+            columns = list(payload)
         buf = StringIO()
         writer = _csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(_pick([payload], columns) if rows is None else rows)
+        writer.writerows([[payload[col] for col in columns]] if rows is None else rows)
         body = buf.getvalue()
     else:
         if callable(text):
@@ -167,13 +167,12 @@ def _point_str(point) -> str:
 def _cmd_shell(args) -> int:
     size = shell_size(args.n, args.d)
     payload: dict = {"n": args.n, "d": args.d, "size": str(size)}
-    columns = ["n", "d", "size"]
-    rows = None
+    columns = rows = None
     text = str(size)
     if args.enumerate:
         points = shell_enumerate(args.n, args.d, cap=args.cap)
+        columns = [*payload, "point"]
         payload["points"] = [list(p) for p in points]
-        columns.append("point")
         rows = lambda: [[args.n, args.d, str(size), _point_str(p)] for p in points]
         text = lambda: "\n".join(_point_str(p) for p in points) or "(no points)"
     _emit(args, payload, text, columns, rows)
@@ -183,7 +182,7 @@ def _cmd_shell(args) -> int:
 def _cmd_ball(args) -> int:
     size = ball_size(args.n, args.d)
     payload = {"n": args.n, "d": args.d, "size": str(size)}
-    _emit(args, payload, str(size), ["n", "d", "size"])
+    _emit(args, payload, str(size))
     return EXIT_OK
 
 
@@ -239,7 +238,7 @@ def _cmd_bijection(args) -> int:
 def _cmd_delannoy(args) -> int:
     value = delannoy(args.m, args.k)
     payload = {"m": args.m, "k": args.k, "value": str(value)}
-    _emit(args, payload, str(value), ["m", "k", "value"])
+    _emit(args, payload, str(value))
     return EXIT_OK
 
 
@@ -255,7 +254,7 @@ def _cmd_coverage(args) -> int:
         "n": args.n, "t": args.t, "r": args.r,
         "coverage": str(value), "method": method,
     }
-    _emit(args, payload, str(value), ["n", "t", "r", "coverage", "method"])
+    _emit(args, payload, str(value))
     return EXIT_OK
 
 
@@ -269,9 +268,8 @@ def _cmd_lower_bound(args) -> int:
         "volume": str(grid.volume), "coverage": str(cov),
         "lower_bound": str(bound),
     }
-    columns = ["dims", "t", "r", "volume", "coverage", "lower_bound"]
     flat = {**payload, "dims": "x".join(map(str, grid.dims))}
-    _emit(args, payload, str(bound), columns, _pick([flat], columns))
+    _emit(args, payload, str(bound), rows=[list(flat.values())])
     return EXIT_OK
 
 
@@ -279,7 +277,7 @@ def _cmd_max_d(args) -> int:
     params = Params(args.t, args.r)
     value = max_potential_d(args.n, params)
     payload = {"n": args.n, "t": args.t, "r": args.r, "max_d": str(value)}
-    _emit(args, payload, str(value), ["n", "t", "r", "max_d"])
+    _emit(args, payload, str(value))
     return EXIT_OK
 
 
@@ -348,10 +346,10 @@ def _cmd_tower_search(args) -> int:
     return EXIT_OK
 
 
-def _table3_cell(cell: tuple[int, int]) -> tuple[int, int, int, int]:
+def _table3_cell(cell: tuple[int, int]) -> dict[str, int]:
     t, r = cell
     pattern = min_density_search(Params(t, r))
-    return (t, r, pattern.d, pattern.e)
+    return {"t": t, "r": r, "d": pattern.d, "e": pattern.e}
 
 
 def _cmd_table3(args) -> int:
@@ -364,37 +362,27 @@ def _cmd_table3(args) -> int:
         import multiprocessing
     results = []
     with multiprocessing.Pool(processes=threads) if parallel else nullcontext() as pool:
-        for entry in (pool.imap if parallel else map)(_table3_cell, cells):
-            print(f"t={entry[0]} r={entry[1]} d={entry[2]}", file=sys.stderr)
-            results.append(entry)
-    payload = {
-        "t_max": args.tmax,
-        "cells": [
-            {"t": t, "r": r, "d": d, "e": e} for t, r, d, e in results
-        ],
-    }
-    by_t: dict[int, dict[int, int]] = {}
-    for t, r, d, _ in results:
-        by_t.setdefault(t, {})[r] = d
+        for cell in (pool.imap if parallel else map)(_table3_cell, cells):
+            print(f"t={cell['t']} r={cell['r']} d={cell['d']}", file=sys.stderr)
+            results.append(cell)
     width = 5
     lines = [
         "t/r".ljust(4) + "".join(str(r).rjust(width) for r in range(1, args.tmax + 1))
     ]
-    for t in range(1, args.tmax + 1):
-        lines.append(
-            str(t).ljust(4)
-            + "".join(str(by_t[t][r]).rjust(width) for r in range(1, t + 1))
-        )
-    columns = ["t", "r", "d", "e"]
-    _emit(args, payload, "\n".join(lines), columns, _pick(payload["cells"], columns))
+    for cell in results:  # row t holds the cells r = 1..t, in that order
+        if cell["r"] == 1:
+            lines.append(str(cell["t"]).ljust(4))
+        lines[-1] += str(cell["d"]).rjust(width)
+    payload = {"t_max": args.tmax, "cells": results}
+    rows = [list(cell.values()) for cell in results]
+    _emit(args, payload, "\n".join(lines), list(results[0]), rows)
     return EXIT_OK
 
 
 def _cmd_lattice_check(args) -> int:
     params = Params(args.t, args.r)
     pattern = SublatticePattern(_parse_basis(args.basis))
-    _check_index(pattern.index, args.index_cap)
-    receptions = lattice_receptions(params, pattern)
+    receptions = lattice_receptions(params, pattern, args.index_cap)
     # A coset that no offset reaches reads 0 < r.
     dominating = all(v >= args.r for v in receptions.values())
     payload = {
@@ -465,15 +453,8 @@ def _cmd_gamma(args) -> int:
     result = gamma_exact(
         graph, params, size_cap=args.size_cap, node_budget=args.node_budget
     )
-    payload = {
-        "expr": args.expr, "t": args.t, "r": args.r,
-        "status": result.status,
-        "gamma": result.gamma,
-        "witness": result.witness,  # json writes label tuples as arrays
-        "upper_bound": result.upper_bound,
-        "nodes": result.nodes,
-        "components": result.components,
-    }
+    # json writes the witness's label tuples as arrays.
+    payload = {"expr": args.expr, "t": args.t, "r": args.r, **vars(result)}
     exact = result.status == "exact"
     if exact:
         lines = [
@@ -490,33 +471,25 @@ def _cmd_gamma(args) -> int:
             f"cap exceeded after {result.nodes} nodes; "
             f"best known upper bound {result.upper_bound}"
         )
-    columns = ["expr", "t", "r", "status", "gamma", "witness", "upper_bound",
-               "nodes", "components"]
     flat = {**payload, "witness": " ".join(map(str, result.witness or ()))}
-    _emit(args, payload, text, columns, _pick([flat], columns))
+    _emit(args, payload, text, rows=[list(flat.values())])
     return EXIT_OK if exact else EXIT_ERROR
 
 
 def _cmd_verify_lemma2(args) -> int:
     params = Params(args.t, args.r)
     report = verify_cycle_lemma(params)
-    payload = {
-        "t": report.t, "r": report.r, "n": report.n,
-        "status": (
-            "not-applicable" if not report.applicable
-            else ("passed" if report.passed else "failed")
-        ),
-        "gamma": report.gamma,
-        "witness": list(report.witness) if report.witness else None,
-        "canonical_witness": (
-            list(report.canonical_witness) if report.canonical_witness else None
-        ),
-        "canonical_receptions": (
-            list(report.canonical_receptions)
-            if report.canonical_receptions else None
-        ),
-        "note": report.note,
-    }
+    status = (
+        "not-applicable" if not report.applicable
+        else ("passed" if report.passed else "failed")
+    )
+    # status takes the place of the applicable and passed flags.
+    payload = {}
+    for key, value in vars(report).items():
+        if key == "applicable":
+            payload["status"] = status
+        elif key != "passed":
+            payload[key] = value
     if not report.applicable:
         text = f"not applicable: {report.note}"
         code = EXIT_OK
@@ -536,19 +509,6 @@ def _cmd_verify_lemma2(args) -> int:
 def _cmd_verify_torus(args) -> int:
     params = Params(args.t, args.r)
     report = verify_torus_counterexample(params, node_budget=args.node_budget)
-    payload = {
-        "t": report.t, "r": report.r, "n": report.n,
-        "gamma_torus": report.gamma_torus,
-        "gamma_cycle": report.gamma_cycle,
-        "squared_bound": report.squared_bound,
-        "violates_product_bound": report.violates_product_bound,
-        "canonical_witness": report.canonical_witness,
-        "canonical_dominates": report.canonical_dominates,
-        "min_reception": report.min_reception,
-        "expected_min_reception": report.expected_min_reception,
-        "min_reception_vertices": report.min_reception_vertices,
-        "passed": report.passed,
-    }
     text = (
         f"C{report.n}xC{report.n} under ({report.t},{report.r}): "
         f"gamma = {report.gamma_torus} < {report.squared_bound} = gamma(C{report.n})^2; "
@@ -557,7 +517,7 @@ def _cmd_verify_torus(args) -> int:
         + ("passed" if report.passed else "failed")
     )
     columns = ["t", "r", "n", "gamma_torus", "gamma_cycle", "min_reception", "passed"]
-    _emit(args, payload, text, columns)
+    _emit(args, vars(report), text, columns)
     return EXIT_OK if report.passed else EXIT_FALSE
 
 
@@ -578,22 +538,12 @@ def _cmd_vizing_scan(args) -> int:
     if not pairs:
         raise ValueError(f"{args.pairs}: no graph pairs found")
     reports = vizing_scan(pairs, params, node_budget=args.node_budget)
-    payload = {
-        "t": args.t, "r": args.r,
-        "pairs": [
-            {
-                "g": rep.expr_g, "h": rep.expr_h, "status": rep.status,
-                "gamma_g": rep.gamma_g, "gamma_h": rep.gamma_h,
-                "gamma_product": rep.gamma_product,
-                "gamma_g_t1": rep.gamma_g_t1, "gamma_h_t1": rep.gamma_h_t1,
-                "gamma_product_t1": rep.gamma_product_t1,
-                "halved_product_holds_gh": rep.halved_product_holds_gh,
-                "halved_product_holds_hg": rep.halved_product_holds_hg,
-                "distance_product_holds": rep.distance_product_holds,
-            }
-            for rep in reports
-        ],
-    }
+    # Each pair: g and h, then the record's fields after expr_g, expr_h, t, r.
+    records = [
+        {"g": rep.expr_g, "h": rep.expr_h, **dict(list(vars(rep).items())[4:])}
+        for rep in reports
+    ]
+    payload = {"t": args.t, "r": args.r, "pairs": records}
     lines = []
     for rep in reports:
         if rep.status != "exact":
@@ -606,8 +556,8 @@ def _cmd_vizing_scan(args) -> int:
             f"halved(H,G)={'holds' if rep.halved_product_holds_hg else 'FAILS'} "
             f"distance={'holds' if rep.distance_product_holds else 'FAILS'}"
         )
-    columns = list(payload["pairs"][0])
-    _emit(args, payload, "\n".join(lines), columns, _pick(payload["pairs"], columns))
+    rows = [list(record.values()) for record in records]
+    _emit(args, payload, "\n".join(lines), list(records[0]), rows)
     if any(rep.status != "exact" for rep in reports):
         return EXIT_ERROR
     holds = all(

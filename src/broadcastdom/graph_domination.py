@@ -471,8 +471,13 @@ def gamma_exact(
     dominating set always exists and the search always terminates; size_cap
     and node_budget bound the effort and yield a cap-exceeded result when
     hit. The search keeps its path on an explicit stack, so its depth is not
-    bounded by Python's recursion limit.
+    bounded by Python's recursion limit. A negative size_cap or node_budget
+    raises ValueError.
     """
+    if node_budget < 0:
+        raise ValueError("node_budget must be nonnegative")
+    if size_cap is not None and size_cap < 0:
+        raise ValueError("size_cap must be nonnegative")
     t = params.t
     rows = [
         tuple(sorted((v, t - d) for v, d in graph._ball(u, t - 1).items()))

@@ -309,12 +309,16 @@ class SublatticePattern:
 
 
 def lattice_receptions(
-    params: Params, pattern: SublatticePattern
+    params: Params,
+    pattern: SublatticePattern,
+    index_cap: int = DEFAULT_INDEX_CAP,
 ) -> dict[LatticePoint, int]:
     """Reception at one representative of every coset of the pattern.
 
     Reception is constant on cosets, so this is the complete profile.
+    Refuses patterns with more than index_cap cosets.
     """
+    _check_index(pattern.index, index_cap)
     hist = _coset_histogram(params.t, pattern.basis)
     out: dict[LatticePoint, int] = {}
     for rep in pattern.coset_representatives():

@@ -7,6 +7,7 @@ standard-library modules it does not need unloaded.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -269,6 +270,52 @@ def test_vizing_scan(tmp_path, capsys):
     code, _, err = run(capsys, "vizing-scan", "--pairs", str(bad), "1", "1")
     assert code == 2
     assert "EXPR" in err
+
+
+PAIRS = str(FIXTURE_DIR / "vizing_pairs.txt")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["gamma", "P3", "2", "1", "--node-budget", "-1"], "node_budget"),
+    (["gamma", "P3", "2", "1", "--size-cap", "-1"], "size_cap"),
+    (["verify-torus", "3", "2", "--node-budget", "-1"], "node_budget"),
+    (["vizing-scan", "--pairs", PAIRS, "2", "1", "--node-budget", "-1"],
+     "node_budget"),
+])
+def test_negative_budgets_are_errors(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {name} must be nonnegative\n")
+
+
+@pytest.mark.parametrize("argv, solver", [
+    (["gamma", "C6", "2", "2"], "gamma_exact"),
+    (["verify-lemma2", "3", "2"], "verify_cycle_lemma"),
+    (["verify-torus", "3", "2"], "verify_torus_counterexample"),
+    (["vizing-scan", "--pairs", PAIRS, "2", "1"], "vizing_scan"),
+])
+def test_json_carries_every_record_field(capsys, monkeypatch, argv, solver):
+    # Grow the solver's record by one field: the json must show it with no
+    # change to the command.
+    def grown(record):
+        cls = dataclasses.make_dataclass(
+            "Grown", [("stats", dict)], bases=(type(record),), frozen=True
+        )
+        return cls(**vars(record), stats={"levels": 3})
+
+    real = getattr(cli, solver)
+
+    def solve(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if isinstance(result, list):
+            return [grown(rec) for rec in result]
+        return grown(result)
+
+    monkeypatch.setattr(cli, solver, solve)
+    code, out, _ = run(capsys, *argv, "--format", "json", "--no-timestamp")
+    assert code == 0
+    doc = json.loads(out)
+    for record in doc.get("pairs", [doc]):
+        assert record["stats"] == {"levels": 3}
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

@@ -56,6 +56,7 @@ REPORTS = [
     ["verify-lemma2", "2", "2"],
     ["verify-torus", "3", "2"],
     ["vizing-scan", "--pairs", "vizing_pairs.txt", "2", "1"],
+    ["vizing-scan", "--pairs", "vizing_pairs.txt", "3", "2"],
     ["vizing-scan", "--pairs", "vizing_pairs.txt", "2", "1",
      "--node-budget", "5"],
 ]

@@ -560,6 +560,16 @@ def test_gamma_caps():
     assert small.upper_bound >= 7
 
 
+def test_gamma_rejects_negative_budgets():
+    g, params = parse_graph_expr("P3"), Params(2, 1)
+    with pytest.raises(ValueError, match="node_budget must be nonnegative"):
+        gamma_exact(g, params, node_budget=-1)
+    with pytest.raises(ValueError, match="size_cap must be nonnegative"):
+        gamma_exact(g, params, size_cap=-1)
+    # A budget of 0 is a search that stops at once, not an error.
+    assert gamma_exact(g, params, node_budget=0, size_cap=0).status == "cap-exceeded"
+
+
 def test_verify_cycle_lemma_frozen():
     expected = {
         (3, 2): (4, (4, 4, 4, 4)),

@@ -220,6 +220,9 @@ def test_lattice_index_cap():
     pat = SublatticePattern(((18, 0), (5, 1)))
     with pytest.raises(IndexCapExceeded):
         is_dominating_lattice(Params(4, 2), pat, index_cap=17)
+    with pytest.raises(IndexCapExceeded):
+        lattice_receptions(Params(4, 2), pat, index_cap=17)
+    assert len(lattice_receptions(Params(4, 2), pat, index_cap=18)) == 18
 
 
 def test_lattice_search_3d_frozen_results():
