@@ -114,6 +114,8 @@ def shell_enumerate(
         raise ValueError("dimension must be nonnegative")
     if d < 0:
         raise ValueError("distance must be nonnegative")
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
     size = ball_size(n, d)
     if size > cap:
         raise EnumerationCapExceeded(

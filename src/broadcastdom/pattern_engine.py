@@ -58,6 +58,8 @@ class ReceptionProfile:
 
 
 def _check_index(index: int, cap: int) -> None:
+    if cap < 1:
+        raise ValueError("index_cap must be at least 1")
     if index > cap:
         raise IndexCapExceeded(f"pattern has {index} cosets, above the cap of {cap}")
 
@@ -175,7 +177,7 @@ def _shift_vectors(n: int, d: int) -> Iterator[tuple[int, ...]]:
     gcd(e_j, d) = 1, swapping x with y_j gives e_j^-1 at j and -e_j^-1 * e_i
     at i != j (mod d); e is dropped when that image's least vector,
     sorted(min(v, d - v)), comes first (surely when its entry at j is below
-    e_0), as it was tried already.
+    e_0, the whole test in Z^2), as it was tried already.
     """
     canon = [*range(d // 2 + 1), *range((d - 1) // 2, 0, -1)]  # min(v, d - v)
     for e in itertools.combinations_with_replacement(range(d // 2 + 1), n - 1):
@@ -183,8 +185,9 @@ def _shift_vectors(n: int, d: int) -> Iterator[tuple[int, ...]]:
             if v > 1 and math.gcd(v, d) == 1:
                 w = pow(v, -1, d)
                 c = canon[w]
-                image = (c if k == j else canon[w * u % d] for k, u in enumerate(e))
-                if c < e[0] or sorted(image) < list(e):
+                if c < e[0] or n > 2 and sorted(
+                    c if k == j else canon[w * u % d] for k, u in enumerate(e)
+                ) < list(e):
                     break
         else:
             yield e
@@ -195,24 +198,31 @@ def _tower_search(n: int, params: Params, top: int) -> tuple[int, tuple[int, ...
 
     Offset y sends row profile |y|_1 to column i - y.e (mod d). Every coset
     meets the x-axis, so T(d; e) dominates when every column reaches r, and
-    negation fixes it, so column d - i receives what column i does: columns
-    0..d // 2 are walked, cyclically from the one that rejected the last e.
+    negation fixes it, so column d - i receives what column i does: only
+    columns 0..d // 2 are walked. Columns near the one that rejected the
+    last e tend to reject the next, so the walk goes outward from that
+    killer k: k, k - 1, k + 1, k - 2, k + 2, ... (mod d // 2 + 1). Each d
+    starts at k = d // 2, the column farthest from the broadcasts of e = 0.
     """
     t, r = params.t, params.r
     box = itertools.product(range(1 - t, t), repeat=n - 1)
     norms, offsets = zip(*((a, y) for y in box if (a := sum(map(abs, y))) < t))
     first, *rest = zip(*offsets)
+    # offsets from the killer in walking order: 0, -1, 1, -2, 2, ...
+    steps = [(k + 1) // 2 * (-1) ** k for k in range(top // 2 + 1)]
     for d in range(top, 0, -1):
         profiles = _row_profiles(t, d)
         rows = [profiles[a] for a in norms]
-        half, killer = d // 2 + 1, 0
+        half, killer = d // 2 + 1, d // 2
+        outward = steps[:half]
         for e in _shift_vectors(n, d):
             # i - shift lies in (-d, d), so negative indexing wraps it mod d
             lead = e[0]
             shifts = [y * lead % d for y in first]
             for j, axis in enumerate(rest, 1):
                 shifts = [(s + y * e[j]) % d for s, y in zip(shifts, axis)]
-            for i in itertools.chain(range(killer, half), range(killer)):
+            for step in outward:
+                i = (killer + step) % half
                 if sum(map(getitem, rows, map(sub, itertools.repeat(i), shifts))) < r:
                     killer = i
                     break

@@ -287,6 +287,19 @@ def test_negative_budgets_are_errors(capsys, argv, name):
     assert (code, out, err) == (2, "", f"error: {name} must be nonnegative\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["shell", "2", "3", "--enumerate", "--cap", "-1"], "cap must be nonnegative"),
+    (["lattice-check", "4", "2", "--basis", "18,0;5,1", "--index-cap", "-1"],
+     "index_cap must be at least 1"),
+    (["lattice-check", "4", "2", "--basis", "18,0;5,1", "--index-cap", "0"],
+     "index_cap must be at least 1"),
+    (["lattice-search3d", "4", "2", "--cap", "0"], "index_cap must be at least 1"),
+])
+def test_caps_out_of_range_are_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, solver", [
     (["gamma", "C6", "2", "2"], "gamma_exact"),
     (["verify-lemma2", "3", "2"], "verify_cycle_lemma"),

@@ -96,6 +96,11 @@ def test_shell_enumerate_cap():
     with pytest.raises(EnumerationCapExceeded):
         shell_enumerate(3, 3, cap=ball_size(3, 3) - 1)
     assert len(shell_enumerate(3, 3, cap=ball_size(3, 3))) == shell_size(3, 3)
+    # a negative cap is a bad argument; 0 is a cap that every ball exceeds
+    with pytest.raises(ValueError, match="^cap must be nonnegative$"):
+        shell_enumerate(2, 3, cap=-1)
+    with pytest.raises(EnumerationCapExceeded):
+        shell_enumerate(0, 0, cap=0)
 
 
 def test_genfunc_bivariate_tables():

@@ -19,14 +19,19 @@ from broadcastdom import (
     is_dominating_tower,
     lattice_receptions,
     lattice_search_3d,
+    max_potential_d,
     min_density_search,
     reception_table,
     tower_reception,
 )
-from broadcastdom.pattern_engine import _shift_vectors
+from broadcastdom.pattern_engine import (
+    _row_profiles,
+    _shift_vectors,
+    _tower_search,
+)
 
 from _cases import (
-    MIN_TOWER_PERIODS,
+    MIN_TOWERS,
     TOWER_18_5_ROWS,
     TOWER_18_5_SUM,
     TOWER_CASES,
@@ -109,8 +114,11 @@ def test_min_density_search_prefers_smallest_offset():
 
 
 def test_min_density_full_table():
-    for (t, r), d in MIN_TOWER_PERIODS.items():
-        assert min_density_search(Params(t, r)).d == d, (t, r)
+    # (d, e) for the 91 table3 cells with t <= 13; the pinned towers
+    # dominate by the window oracle, which shares no code with the search.
+    for (t, r), (d, e) in MIN_TOWERS.items():
+        assert min_density_search(Params(t, r)) == TowerPattern(d, e), (t, r)
+        assert min(window_tower_receptions(t, r, d, e)) >= r, (t, r)
 
 
 def test_min_density_search_matches_unskipped_brute_search():
@@ -122,10 +130,47 @@ def test_min_density_search_matches_unskipped_brute_search():
             assert (pattern.d, pattern.e) == brute_min_tower(t, r), (t, r)
 
 
+def test_tower_search_matches_plain_walk_below_every_top():
+    # Each top starts the search at a different level, so the dead levels
+    # above each answer, where the column order decides the work, are all
+    # walked. The plain walk tries every e < d by the window oracle.
+    for t in range(1, 6):
+        for r in range(1, t + 1):
+            params = Params(t, r)
+            least_e = {}
+            for top in range(max_potential_d(2, params), 0, -1):
+                for d in range(top, 0, -1):
+                    if d not in least_e:
+                        least_e[d] = next(
+                            (e for e in range(d)
+                             if min(window_tower_receptions(t, r, d, e)) >= r),
+                            None,
+                        )
+                    if least_e[d] is not None:
+                        break
+                got = _tower_search(2, params, top)
+                assert got == (d, (least_e[d],)), (t, r, top)
+
+
+def test_row_profiles_match_offset_sums():
+    # Profile a sends t - a - |x| from offset x to column x mod d; d from 1
+    # to 2t + 1 covers rows that wrap onto themselves and rows that do not.
+    for t in range(1, 9):
+        for d in range(1, 2 * t + 2):
+            expected = []
+            for a in range(t):
+                row = [0] * d
+                for x in range(a + 1 - t, t - a):
+                    row[x % d] += t - a - abs(x)
+                expected.append(row)
+            assert _row_profiles(t, d) == expected, (t, d)
+
+
 def test_plane_shift_walk_keeps_the_mirror_and_axis_swap_skips():
     # In Z^2 the walk tries e <= d // 2 and drops each unit e whose inverse,
     # or the inverse's mirror, is smaller: T(d, e^-1) is its axis swap.
-    for d in range(1, 61):
+    # tower-search reaches d = 313 at (13, 1).
+    for d in range(1, 321):
         expected = [
             e for e in range(d // 2 + 1)
             if math.gcd(e, d) != 1 or min(pow(e, -1, d), -pow(e, -1, d) % d) >= e
@@ -223,6 +268,12 @@ def test_lattice_index_cap():
     with pytest.raises(IndexCapExceeded):
         lattice_receptions(Params(4, 2), pat, index_cap=17)
     assert len(lattice_receptions(Params(4, 2), pat, index_cap=18)) == 18
+    # a cap below 1 is a bad argument, as in lattice_search_3d
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="^index_cap must be at least 1$"):
+            is_dominating_lattice(Params(4, 2), pat, index_cap=cap)
+        with pytest.raises(ValueError, match="^index_cap must be at least 1$"):
+            lattice_receptions(Params(4, 2), pat, index_cap=cap)
 
 
 def test_lattice_search_3d_frozen_results():
