@@ -284,7 +284,8 @@ def _cmd_max_d(args) -> int:
 def _cmd_tower_check(args) -> int:
     params = Params(args.t, args.r)
     pattern = TowerPattern(args.d, args.e)
-    receptions = list(reception_table(params, pattern).receptions)
+    lattice = SublatticePattern(((args.d, 0), (args.e, 1)))
+    receptions = list(lattice_receptions(params, lattice).values())
     dominating = min(receptions) >= args.r
     payload = {
         "t": args.t, "r": args.r, "pattern": str(pattern),
@@ -695,8 +696,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.threads < 0:
         print("error: --threads must be nonnegative", file=sys.stderr)
         return EXIT_ERROR
+    # Counts print in full; argv ints were parsed under the digit limit, restored after.
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     try:
+        set_digits(0)
         return args.func(args)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        set_digits(limit)

@@ -54,17 +54,19 @@ def shell_size(n: int, d: int) -> int:
 def ball_size(n: int, d: int) -> int:
     """Number of points of Z^n at L1 distance at most d from the origin.
 
-    The Delannoy sum: choose the i coordinates that are nonzero, sign them,
-    and fix their magnitudes by their partial sums, which are i distinct
-    values in 1..d.
+    The Delannoy sum of C(n, i) C(d, i) 2^i: choose the i nonzero coordinates,
+    sign them, and fix their magnitudes by their partial sums, i distinct
+    values in 1..d. Term i + 1 is term i times 2(n - i)(d - i) / (i + 1)^2.
     """
     if n < 0:
         raise ValueError("dimension must be nonnegative")
     if d < 0:
         raise ValueError("distance must be nonnegative")
-    return sum(
-        math.comb(n, i) * math.comb(d, i) * 2**i for i in range(min(n, d) + 1)
-    )
+    total = term = 1
+    for i in range(min(n, d)):
+        term = term * 2 * (n - i) * (d - i) // (i + 1) ** 2
+        total += term
+    return total
 
 
 def delannoy(m: int, k: int) -> int:
@@ -206,7 +208,7 @@ def genfunc_coefficients(
         raise ValueError("fixed parameter must be nonnegative")
     count = max_index + 1
 
-    if kind == "B_fixed_d":
+    if kind in ("B_fixed_d", "B_fixed_n"):
         num = _binomial_poly(fixed, 1)
         den = _poly_power([1, -1], fixed + 1)
     elif kind == "S_fixed_d":
@@ -215,9 +217,6 @@ def genfunc_coefficients(
         else:
             num = [0] + [2 * c for c in _binomial_poly(fixed - 1, 1)]
             den = _poly_power([1, -1], fixed + 1)
-    elif kind == "B_fixed_n":
-        num = _binomial_poly(fixed, 1)
-        den = _poly_power([1, -1], fixed + 1)
     else:  # S_fixed_n
         num = _binomial_poly(fixed, 1)
         den = _poly_power([1, -1], fixed)

@@ -4,9 +4,9 @@ A pattern places a broadcast at every point of a full-rank sublattice of Z^n
 and dominates when every point still accumulates reception r; reception is
 constant on cosets. Towers, broadcasts at (m*d + y.e, y) for y in Z^(n-1),
 are searched in Z^2 and Z^3 by _tower_search from per-d row profiles indexed
-by |y|_1, which every shift vector e reuses rotated. Other sublattices read
-reception from one coset histogram, a single pass over the ball. All share
-the cap of DEFAULT_INDEX_CAP cosets.
+by |y|_1, rotated for each shift vector e, as are reception_table's rows.
+Every other reception reads the coset histogram, a dict from reached box
+representatives to receptions. All share the cap of DEFAULT_INDEX_CAP cosets.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import getitem, sub
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .coverage_bounds import Params, max_potential_d
 from .lattice_geometry import LatticePoint
@@ -46,7 +46,7 @@ class TowerPattern:
 
 @dataclass(frozen=True)
 class ReceptionProfile:
-    """Reception of one period of columns, optionally split by source row.
+    """Reception of one period of columns, split by source row.
 
     rows holds (y, contributions) pairs with y descending; receptions is the
     column-wise total over all rows.
@@ -54,7 +54,7 @@ class ReceptionProfile:
 
     pattern: str
     receptions: tuple[int, ...]
-    rows: Optional[tuple[tuple[int, tuple[int, ...]], ...]] = None
+    rows: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def _check_index(index: int, cap: int) -> None:
@@ -80,25 +80,23 @@ def _reduce(basis: tuple[tuple[int, ...], ...], residue: list[int]) -> list[int]
 
 def _coset_histogram(
     t: int, basis: tuple[tuple[int, ...], ...]
-) -> dict[tuple[int, ...], list[int]]:
-    """Reception of every coset of the lattice, from one pass over B_n(t-1).
+) -> dict[tuple[int, ...], int]:
+    """Reception of each reached coset, keyed by its box representative.
 
-    Offset off delivers t - |off| to each point of the coset of -off. The
-    offsets are walked coordinate n-1 down to 1, carrying their reduction,
-    and each row of coordinate 0 goes whole into a list of basis[0][0]
-    buckets keyed by the reduced coordinates 1..n-1: the reception at p is
-    hist[key][k] for the reduction (k, *key) of -p, and a coset no offset
-    reaches has no list.
+    Point p receives t - |off| from the broadcast at p - off, so offset off
+    adds to its own coset. One pass over B_n(t-1) walks coordinates n-1 down
+    to 1, carrying their reduction; each row of coordinate 0 adds reach - |x|
+    at ((shift + x) mod basis[0][0], *rest). Unreached cosets have no key.
     """
     n, d = len(basis), basis[0][0]
-    hist: dict[tuple[int, ...], list[int]] = {}
+    hist: dict[tuple[int, ...], int] = {}
 
     def walk(level: int, reach: int, residue: list[int]) -> None:
         if level == 0:
-            key, shift = tuple(residue[1:]), residue[0]
-            row = hist.get(key) or hist.setdefault(key, [0] * d)
+            rest, shift = tuple(residue[1:]), residue[0]
             for x in range(1 - reach, reach):
-                row[(shift + x) % d] += reach - abs(x)
+                key = ((shift + x) % d,) + rest
+                hist[key] = hist.get(key, 0) + reach - abs(x)
             return
         for x in range(1 - reach, reach):
             partial = residue.copy()
@@ -130,21 +128,13 @@ def _row_profiles(t: int, d: int) -> list[list[int]]:
 def tower_reception(params: Params, pattern: TowerPattern, i: int) -> int:
     """Total reception at column i of row 0, one value per residue class.
 
-    Row y contributes through its broadcasts at x = y*e (mod d); each one
-    within horizontal reach t - |y| adds its remaining strength. The offsets
-    are summed directly, O(t^2) time and no list of d entries. Like
-    reception_table and is_dominating_tower, refuses d > DEFAULT_INDEX_CAP.
+    The coset histogram of ((d,0),(e,1)) at (i, 0); refuses d > DEFAULT_INDEX_CAP.
     """
     if not 0 <= i < pattern.d:
         raise ValueError(f"column must satisfy 0 <= i < {pattern.d}")
-    t, d, e = params.t, pattern.d, pattern.e
-    _check_index(d, DEFAULT_INDEX_CAP)
-    return sum(
-        t - abs(y) - abs(x)
-        for y in range(1 - t, t)
-        for x in range(abs(y) + 1 - t, t - abs(y))
-        if (x + y * e - i) % d == 0
-    )
+    _check_index(pattern.d, DEFAULT_INDEX_CAP)
+    basis = ((pattern.d, 0), (pattern.e, 1))
+    return _coset_histogram(params.t, basis).get((i, 0), 0)
 
 
 def reception_table(params: Params, pattern: TowerPattern) -> ReceptionProfile:
@@ -325,17 +315,13 @@ def lattice_receptions(
 ) -> dict[LatticePoint, int]:
     """Reception at one representative of every coset of the pattern.
 
-    Reception is constant on cosets, so this is the complete profile.
-    Refuses patterns with more than index_cap cosets.
+    Reception is constant on cosets, so this is the complete profile: the
+    coset histogram read at every box representative, 0 where no offset
+    reaches. Refuses patterns with more than index_cap cosets.
     """
     _check_index(pattern.index, index_cap)
     hist = _coset_histogram(params.t, pattern.basis)
-    out: dict[LatticePoint, int] = {}
-    for rep in pattern.coset_representatives():
-        k, *key = _reduce(pattern.basis, [-x for x in rep])
-        row = hist.get(tuple(key))
-        out[rep] = row[k] if row else 0
-    return out
+    return {rep: hist.get(rep, 0) for rep in pattern.coset_representatives()}
 
 
 def is_dominating_lattice(
@@ -345,14 +331,12 @@ def is_dominating_lattice(
 ) -> bool:
     """Whether every point of Z^n receives at least r from the pattern.
 
-    Every coset's bucket must exist and hold at least r. Refuses patterns
+    Every coset must be reached and receive at least r. Refuses patterns
     with more than index_cap cosets.
     """
     _check_index(pattern.index, index_cap)
     hist = _coset_histogram(params.t, pattern.basis)
-    return len(hist) * pattern.basis[0][0] == pattern.index and all(
-        min(row) >= params.r for row in hist.values()
-    )
+    return len(hist) == pattern.index and min(hist.values()) >= params.r
 
 
 def lattice_search_3d(

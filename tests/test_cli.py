@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from datetime import datetime
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from broadcastdom import cli
+from broadcastdom import ball_size, cli
 from broadcastdom.cli import main
 
 FIXTURE_DIR = Path(__file__).parent / "data"
@@ -69,6 +70,56 @@ def test_counts_are_decimal_strings(capsys):
     assert doc["command"] == "ball"
     assert isinstance(doc["size"], str)
     assert doc["size"] == str(int(doc["size"]))
+
+
+def _digits_value(text: str) -> int:
+    # Read a decimal string in chunks, each under the interpreter's digit limit.
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_counts_beyond_the_digit_limit(capsys):
+    # B_6000(6000) has 4,592 digits, above CPython's default limit of 4,300
+    # for converting an int to a string.
+    size = ball_size(6000, 6000)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "ball", "6000", "6000")
+    assert (code, err) == (0, "")
+    assert len(out) == 4593 and _digits_value(out.strip()) == size
+    code, out, err = run(capsys, "ball", "6000", "6000", "--format", "json",
+                         "--no-timestamp")
+    assert (code, err) == (0, "")
+    assert _digits_value(json.loads(out)["size"]) == size
+    # main gives the limit back to the process that called it.
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="the interpreter has no digit limit for int conversion",
+)
+def test_positional_ints_keep_the_digit_limit(capsys):
+    code, out, err = run(capsys, "ball", "3", "9" * 4301)
+    assert code == 2 and out == ""
+    assert "invalid int value" in err
+
+
+def test_tower_check_memory_does_not_grow_with_rows(capsys):
+    # The d totals come from the coset histogram, without the 2t - 1 rows of
+    # d entries that tower-table prints.
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "tower-check", "30", "10", "200000", "5",
+                           "--format", "csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == "t,r,d,e,dominating,min_reception\n30,10,200000,5,False,0\n"
+    assert peak < 64_000_000
 
 
 def test_json_timestamp_toggle(capsys):

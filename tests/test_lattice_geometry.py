@@ -1,5 +1,7 @@
 """Shell and ball counting, generating functions, and the norm bijection."""
 
+import math
+
 import pytest
 
 from broadcastdom import (
@@ -60,6 +62,17 @@ def test_ball_recursion():
                 + ball_size(n, d - 1)
                 + ball_size(n - 1, d - 1)
             ), (n, d)
+
+
+def test_ball_size_matches_binomial_sum_at_scale():
+    # ball_size steps from term to term by an exact ratio; here every term
+    # C(n, i) C(d, i) 2^i is computed on its own.
+    for n, d in ((200, 300), (300, 200), (1000, 1000), (1, 10**6), (37, 7000)):
+        expected = sum(
+            math.comb(n, i) * math.comb(d, i) * 2**i for i in range(min(n, d) + 1)
+        )
+        assert ball_size(n, d) == expected, (n, d)
+    assert ball_size(150, 200) == delannoy(150, 200)
 
 
 def test_delannoy_matches_reference_and_symmetry():

@@ -14,6 +14,7 @@ from broadcastdom import (
     Params,
     SublatticePattern,
     TowerPattern,
+    ball_size,
     hermite_normal_form,
     is_dominating_lattice,
     is_dominating_tower,
@@ -25,6 +26,7 @@ from broadcastdom import (
     tower_reception,
 )
 from broadcastdom.pattern_engine import (
+    _coset_histogram,
     _row_profiles,
     _shift_vectors,
     _tower_search,
@@ -369,8 +371,8 @@ def test_is_dominating_tower_memory_does_not_grow_with_t_times_d():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The one list of d totals takes 1.6 MB.
-    assert peak < 8_000_000
+    # The histogram holds only the cosets that B(29) reaches, not d totals.
+    assert peak < 1_000_000
     # The 1,741 offsets of B(29) cannot reach 200,000 columns.
     assert value is False
 
@@ -403,6 +405,8 @@ def test_lattice_kernel_matches_brute_oracle(basis, t, data):
     expected = brute_lattice_receptions(t, basis)
     assert list(lattice_receptions(params, pattern).items()) == list(expected.items())
     assert is_dominating_lattice(params, pattern) == (min(expected.values()) >= r)
+    # The histogram keeps only reached cosets, at most one per offset.
+    assert len(_coset_histogram(t, basis)) <= ball_size(len(basis), t - 1)
 
 
 @PROPERTY
