@@ -164,25 +164,27 @@ def _point_str(point) -> str:
     return "(" + ", ".join(str(x) for x in point) + ")"
 
 
+def _count(key: str, fn):
+    # A count command: its int positionals by name, then fn of them under key.
+    def cmd(args) -> int:
+        values = [getattr(args, name) for name in args.ints]
+        payload = {**dict(zip(args.ints, values)), key: str(fn(*values))}
+        _emit(args, payload, payload[key])
+        return EXIT_OK
+    return cmd
+
+
 def _cmd_shell(args) -> int:
-    size = shell_size(args.n, args.d)
-    payload: dict = {"n": args.n, "d": args.d, "size": str(size)}
-    columns = rows = None
-    text = str(size)
-    if args.enumerate:
-        points = shell_enumerate(args.n, args.d, cap=args.cap)
-        columns = [*payload, "point"]
-        payload["points"] = [list(p) for p in points]
-        rows = lambda: [[args.n, args.d, str(size), _point_str(p)] for p in points]
-        text = lambda: "\n".join(_point_str(p) for p in points) or "(no points)"
+    if not args.enumerate:
+        return _count("size", shell_size)(args)
+    points = shell_enumerate(args.n, args.d, cap=args.cap)
+    size = str(len(points))
+    payload: dict = {"n": args.n, "d": args.d, "size": size}
+    columns = [*payload, "point"]
+    payload["points"] = [list(p) for p in points]
+    rows = lambda: [[args.n, args.d, size, _point_str(p)] for p in points]
+    text = lambda: "\n".join(_point_str(p) for p in points) or "(no points)"
     _emit(args, payload, text, columns, rows)
-    return EXIT_OK
-
-
-def _cmd_ball(args) -> int:
-    size = ball_size(args.n, args.d)
-    payload = {"n": args.n, "d": args.d, "size": str(size)}
-    _emit(args, payload, str(size))
     return EXIT_OK
 
 
@@ -235,13 +237,6 @@ def _cmd_bijection(args) -> int:
     return EXIT_OK
 
 
-def _cmd_delannoy(args) -> int:
-    value = delannoy(args.m, args.k)
-    payload = {"m": args.m, "k": args.k, "value": str(value)}
-    _emit(args, payload, str(value))
-    return EXIT_OK
-
-
 def _cmd_coverage(args) -> int:
     params = Params(args.t, args.r)
     if args.closed_form:
@@ -270,14 +265,6 @@ def _cmd_lower_bound(args) -> int:
     }
     flat = {**payload, "dims": "x".join(map(str, grid.dims))}
     _emit(args, payload, str(bound), rows=[list(flat.values())])
-    return EXIT_OK
-
-
-def _cmd_max_d(args) -> int:
-    params = Params(args.t, args.r)
-    value = max_potential_d(args.n, params)
-    payload = {"n": args.n, "t": args.t, "r": args.r, "max_d": str(value)}
-    _emit(args, payload, str(value))
     return EXIT_OK
 
 
@@ -601,14 +588,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=help)
         for dest in ints.split():
             p.add_argument(dest, type=int)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, ints=ints.split())
         return p
 
     p = command("shell", _cmd_shell, "size of the L1 shell S_n(d)", "n d")
     p.add_argument("--enumerate", action="store_true", help="list the points too")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
 
-    command("ball", _cmd_ball, "size of the L1 ball B_n(d)", "n d")
+    command("ball", _count("size", ball_size), "size of the L1 ball B_n(d)", "n d")
 
     p = command("genfunc", _cmd_genfunc,
                 "generating function coefficients for shells and balls")
@@ -624,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
 
-    command("delannoy", _cmd_delannoy, "Delannoy number D(m, k)", "m k")
+    command("delannoy", _count("value", delannoy), "Delannoy number D(m, k)", "m k")
 
     p = command("coverage", _cmd_coverage,
                 "unwasted reception of one broadcast over Z^n", "n t r")
@@ -635,7 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "coverage lower bound on gamma for a finite grid", "t r")
     p.add_argument("--dims", required=True, help="side lengths, e.g. 5,5")
 
-    command("max-d", _cmd_max_d,
+    command("max-d",
+            _count("max_d", lambda n, t, r: max_potential_d(n, Params(t, r))),
             "largest candidate pattern period per the coverage bound", "n t r")
     command("tower-check", _cmd_tower_check,
             "verify whether the tower T(d,e) dominates under (t,r)", "t r d e")

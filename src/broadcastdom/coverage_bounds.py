@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice_geometry import shell_size
+from .lattice_geometry import ball_size
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,13 @@ class GridDims:
 def coverage(n: int, params: Params) -> int:
     """Capped reception a single broadcast delivers over all of Z^n.
 
-    Shells at distance d <= t - r receive the full cap r each; closer to the
-    boundary the reception t - d itself is below r. The center always counts
-    r, which is why the final term is r and not t.
+    A point at distance d < t counts min(t - d, r), which is the number of
+    j < r with d <= t - 1 - j; so the coverage is the sum over j < r of the
+    ball sizes B_n(t - 1 - j). The center counts r, not t.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    t, r = params.t, params.r
-    boundary = sum((t - d) * shell_size(n, d) for d in range(t - r + 1, t))
-    interior = r * sum(shell_size(n, d) for d in range(1, t - r + 1))
-    return boundary + interior + r
+    return sum(ball_size(n, params.t - 1 - j) for j in range(params.r))
 
 
 # Closed forms of coverage(n, (t, r)) for small n, as polynomials in t and r.

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence
+from functools import reduce
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .coverage_bounds import Params
 
@@ -36,6 +37,10 @@ DEFAULT_NODE_BUDGET = 5_000_000
 # Most entries _min_cover keeps in its memo of failed subtrees; full, the
 # memo adds about 1.5 MB to the search on C10 x C10 at (3, 2).
 _MEMO_CAP = 1 << 14
+# Most vertices a graph expression may describe. The search's memory grows
+# with the square of the vertex count (P100000 at (1, 1) peaks at 5.2 GB),
+# so no expression above this bound can be solved.
+_MAX_EXPR_VERTICES = 10**6
 
 Label = Hashable
 
@@ -168,9 +173,12 @@ class FiniteGraph:
 
 class _Parser:
     # Grammar: expr := term ('*' term)*; term := P<int> | C<int> | '(' expr ')'
+    # Each rule returns a builder, called once the whole text has parsed, so
+    # an expression refused for its size allocates no graph.
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.vertices = 1  # the product of the atoms so far
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -180,33 +188,37 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse_expr(self) -> FiniteGraph:
-        graph = self.parse_term()
+    def parse_expr(self) -> Callable[[], FiniteGraph]:
+        factors = [self.parse_term()]
         while self.peek() == "*":
             self.pos += 1
-            graph = graph.box_product(self.parse_term())
-        return graph
+            factors.append(self.parse_term())
+        return lambda: reduce(FiniteGraph.box_product, (f() for f in factors))
 
-    def parse_term(self) -> FiniteGraph:
+    def parse_term(self) -> Callable[[], FiniteGraph]:
         ch = self.peek()
         start = self.pos
         if ch == "(":
             self.pos += 1
-            graph = self.parse_expr()
+            build = self.parse_expr()
             if self.peek() != ")":
                 raise GraphExprError("expected ')'", self.pos)
             self.pos += 1
-            return graph
+            return build
         if ch in ("P", "C"):
             self.pos += 1
             k = self._parse_int()
-            if ch == "P":
-                if k < 1:
-                    raise GraphExprError("path needs at least 1 vertex", start)
-                return FiniteGraph.path(k)
-            if k < 3:
+            if ch == "P" and k < 1:
+                raise GraphExprError("path needs at least 1 vertex", start)
+            if ch == "C" and k < 3:
                 raise GraphExprError("cycle needs at least 3 vertices", start)
-            return FiniteGraph.cycle(k)
+            # Every factor and product divides the product of all atoms.
+            self.vertices *= k
+            if self.vertices > _MAX_EXPR_VERTICES:
+                raise GraphExprError(
+                    f"graph has more than {_MAX_EXPR_VERTICES} vertices", start
+                )
+            return lambda: (FiniteGraph.path if ch == "P" else FiniteGraph.cycle)(k)
         if ch == "":
             raise GraphExprError("unexpected end of expression", self.pos)
         raise GraphExprError(f"unexpected character {ch!r}", self.pos)
@@ -224,14 +236,15 @@ def parse_graph_expr(text: str) -> FiniteGraph:
     """Build a graph from an expression like ``P5*C4`` or ``(P2*P3)*C5``.
 
     Atoms are P<k> for the path on k vertices and C<k> for the cycle on k;
-    ``*`` is the box product and associates left.
+    ``*`` is the box product and associates left. An expression of more
+    than 10^6 vertices is refused before any graph is built.
     """
     parser = _Parser(text)
-    graph = parser.parse_expr()
+    build = parser.parse_expr()
     parser.skip_ws()
     if parser.pos != len(text):
         raise GraphExprError("trailing input", parser.pos)
-    return graph
+    return build()
 
 
 def reception_map(

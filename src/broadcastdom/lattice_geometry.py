@@ -2,16 +2,21 @@
 
 The shell S_n(d) is the set of points of Z^n at L1 distance exactly d from
 the origin; the ball B_n(d) collects shells 0 through d. Everything here is
-exact integer arithmetic: shell sizes come from a binomial sum, generating
-function coefficients from formal power series division over Z, and the
-shell <-> box bijection from an explicit tuple encoding.
+exact integer arithmetic. A ball size is a Delannoy sum, stepped from term to
+term by an exact ratio, and a shell size is the difference of two consecutive
+balls. Univariate generating function coefficients divide a binomial
+numerator by (1 - x)^k as k running sums; the bivariate tables and the
+Delannoy numbers walk the rows of the Delannoy recursion. The shell <-> box
+bijection uses an explicit tuple encoding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import accumulate, chain
+from operator import add
+from typing import Iterator
 
 LatticePoint = tuple[int, ...]
 
@@ -34,21 +39,10 @@ class EnumerationCapExceeded(RuntimeError):
 def shell_size(n: int, d: int) -> int:
     """Number of points of Z^n at L1 distance exactly d from the origin.
 
-    Counts points by the number i of coordinates that are zero: choose the
-    zero positions, sign the rest, and compose d into the nonzero magnitudes.
+    The ball of radius d less the ball of radius d - 1, and 1 at d = 0.
     """
-    if n < 0:
-        raise ValueError("dimension must be nonnegative")
-    if d < 0:
-        raise ValueError("distance must be nonnegative")
-    if d == 0:
-        return 1
-    if n == 0:
-        return 0
-    return sum(
-        math.comb(n, i) * 2 ** (n - i) * math.comb(d - 1, n - i - 1)
-        for i in range(n)
-    )
+    size = ball_size(n, d)
+    return size - ball_size(n, d - 1) if d else size
 
 
 def ball_size(n: int, d: int) -> int:
@@ -69,21 +63,24 @@ def ball_size(n: int, d: int) -> int:
     return total
 
 
+def _delannoy_row(row: list[int]) -> list[int]:
+    # The next row of a Delannoy table: each entry is left + up + diagonal.
+    return list(accumulate(map(add, row, chain((0,), row))))
+
+
 def delannoy(m: int, k: int) -> int:
     """Delannoy number D(m, k): lattice paths with steps east, north, northeast.
 
     Satisfies the same recursion as ball sizes, D(m, k) = D(m-1, k)
     + D(m, k-1) + D(m-1, k-1), so ball_size(n, d) == delannoy(n, d).
-    Computed by iterating rows of the table.
+    Computed by walking the m rows of that table from the all-ones row 0,
+    without calling ball_size, so the tests can hold one against the other.
     """
     if m < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
     row = [1] * (k + 1)
     for _ in range(m):
-        new = [1] * (k + 1)
-        for j in range(1, k + 1):
-            new[j] = new[j - 1] + row[j] + row[j - 1]
-        row = new
+        row = _delannoy_row(row)
     return row[k]
 
 
@@ -126,44 +123,9 @@ def shell_enumerate(
     return list(_shell_points(n, d))
 
 
-def _binomial_poly(k: int, sign: int) -> list[int]:
-    # Coefficients of (1 + sign*x)^k, constant term first.
-    return [math.comb(k, i) * sign**i for i in range(k + 1)]
-
-
-def _series_quotient(num: Sequence[int], den: Sequence[int], count: int) -> list[int]:
-    # Formal power series division over Z. den[0] must be a unit in Z.
-    lead = den[0]
-    if lead not in (1, -1):
-        raise ValueError("denominator must have constant term 1 or -1")
-    out: list[int] = []
-    for i in range(count):
-        acc = num[i] if i < len(num) else 0
-        for j in range(1, min(i, len(den) - 1) + 1):
-            acc -= den[j] * out[i - j]
-        out.append(acc * lead)
-    return out
-
-
-_BIVARIATE_DEN = {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): -1}
-
-
-def _bivariate_quotient(
-    num: dict[tuple[int, int], int], max_index: int
-) -> list[list[int]]:
-    # Division by 1 - x - y - xy, the denominator shared by both bivariate
-    # series. Returns the full coefficient square [0..max_index]^2.
-    table = [[0] * (max_index + 1) for _ in range(max_index + 1)]
-    for i in range(max_index + 1):
-        for j in range(max_index + 1):
-            acc = num.get((i, j), 0)
-            for (a, b), c in _BIVARIATE_DEN.items():
-                if a == 0 and b == 0:
-                    continue
-                if i >= a and j >= b:
-                    acc -= c * table[i - a][j - b]
-            table[i][j] = acc
-    return table
+def _binomial_poly(k: int) -> list[int]:
+    # Coefficients of (1 + x)^k, constant term first.
+    return [math.comb(k, i) for i in range(k + 1)]
 
 
 def genfunc_coefficients(
@@ -197,10 +159,14 @@ def genfunc_coefficients(
     if kind in ("B_bivariate", "S_bivariate"):
         if fixed is not None:
             raise ValueError(f"{kind} takes no fixed parameter")
-        num = {(0, 0): 1}
+        # Both satisfy the Delannoy recursion; row 0 is Z^0 at each distance.
+        row = [1] * (max_index + 1)
         if kind == "S_bivariate":
-            num[(0, 1)] = -1
-        return _bivariate_quotient(num, max_index)
+            row = [1] + [0] * max_index
+        table = [row]
+        for _ in range(max_index):
+            table.append(_delannoy_row(table[-1]))
+        return table
 
     if fixed is None:
         raise ValueError(f"{kind} requires a fixed parameter")
@@ -208,30 +174,22 @@ def genfunc_coefficients(
         raise ValueError("fixed parameter must be nonnegative")
     count = max_index + 1
 
+    # The numerator and the power k of the denominator (1 - x)^k.
     if kind in ("B_fixed_d", "B_fixed_n"):
-        num = _binomial_poly(fixed, 1)
-        den = _poly_power([1, -1], fixed + 1)
+        num, k = _binomial_poly(fixed), fixed + 1
     elif kind == "S_fixed_d":
         if fixed == 0:
-            num, den = [1], [1, -1]
+            num, k = [1], 1
         else:
-            num = [0] + [2 * c for c in _binomial_poly(fixed - 1, 1)]
-            den = _poly_power([1, -1], fixed + 1)
+            num = [0] + [2 * c for c in _binomial_poly(fixed - 1)]
+            k = fixed + 1
     else:  # S_fixed_n
-        num = _binomial_poly(fixed, 1)
-        den = _poly_power([1, -1], fixed)
-    return _series_quotient(num, den, count)
-
-
-def _poly_power(base: Sequence[int], k: int) -> list[int]:
-    out = [1]
+        num, k = _binomial_poly(fixed), fixed
+    # Dividing a series by 1 - x takes its running sums.
+    coeffs = (num + [0] * count)[:count]
     for _ in range(k):
-        nxt = [0] * (len(out) + len(base) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(base):
-                nxt[i + j] += a * b
-        out = nxt
-    return out
+        coeffs = list(accumulate(coeffs))
+    return coeffs
 
 
 @dataclass(frozen=True)

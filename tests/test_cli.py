@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from broadcastdom import ball_size, cli
+from broadcastdom import ball_size, cli, shell_size
 from broadcastdom.cli import main
 
 FIXTURE_DIR = Path(__file__).parent / "data"
@@ -82,17 +82,20 @@ def _digits_value(text: str) -> int:
 
 
 def test_counts_beyond_the_digit_limit(capsys):
-    # B_6000(6000) has 4,592 digits, above CPython's default limit of 4,300
-    # for converting an int to a string.
-    size = ball_size(6000, 6000)
+    # B_6000(6000) has 4,592 digits and S_6000(6000) 4,591, above CPython's
+    # default limit of 4,300 for converting an int to a string.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    code, out, err = run(capsys, "ball", "6000", "6000")
-    assert (code, err) == (0, "")
-    assert len(out) == 4593 and _digits_value(out.strip()) == size
-    code, out, err = run(capsys, "ball", "6000", "6000", "--format", "json",
-                         "--no-timestamp")
-    assert (code, err) == (0, "")
-    assert _digits_value(json.loads(out)["size"]) == size
+    for command, size, digits in (
+        ("ball", ball_size(6000, 6000), 4592),
+        ("shell", shell_size(6000, 6000), 4591),
+    ):
+        code, out, err = run(capsys, command, "6000", "6000")
+        assert (code, err) == (0, "")
+        assert len(out) == digits + 1 and _digits_value(out.strip()) == size
+        code, out, err = run(capsys, command, "6000", "6000", "--format", "json",
+                             "--no-timestamp")
+        assert (code, err) == (0, "")
+        assert _digits_value(json.loads(out)["size"]) == size
     # main gives the limit back to the process that called it.
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
@@ -283,6 +286,22 @@ def test_gamma_parse_error(capsys):
     code, _, err = run(capsys, "gamma", "P5*Q5", "2", "1")
     assert code == 2
     assert "offset" in err
+
+
+@pytest.mark.parametrize("expr, offset", [("P99999999999", 0), ("P100000*P100000", 8)])
+def test_gamma_refuses_huge_graphs_before_building_them(capsys, expr, offset):
+    # The search's memory grows with the square of the vertex count, so
+    # expressions above 10^6 vertices are refused while parsing; one P100000
+    # alone would take about 40 MB.
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "gamma", expr, "1", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"error: graph has more than 1000000 vertices at offset {offset}\n"
+    assert peak < 4_000_000
 
 
 def test_verify_lemma2(capsys):

@@ -9,10 +9,9 @@ from broadcastdom import (
     coverage_closed_form,
     domination_lower_bound,
     max_potential_d,
-    shell_size,
 )
 
-from _cases import window_coverage
+from _cases import SHELL_POLYNOMIALS, window_coverage
 
 
 def test_params_validation():
@@ -52,13 +51,15 @@ def test_coverage_known_values():
 
 
 def test_coverage_r_equals_t_collapses_to_weighted_shells():
-    # with r = t nothing is clipped except the center
-    for n in range(1, 4):
-        for t in range(1, 6):
-            expected = t + sum(
-                (t - d) * shell_size(n, d) for d in range(1, t)
-            )
-            assert coverage(n, Params(t, t)) == expected
+    # Each shell d < t counts min(t - d, r) per point, so with r = t nothing
+    # is clipped except the center. Shell sizes come from the closed forms.
+    for n in range(1, 7):
+        for t in range(1, 21):
+            for r in range(1, t + 1):
+                expected = r + sum(
+                    min(t - d, r) * SHELL_POLYNOMIALS[n](d) for d in range(1, t)
+                )
+                assert coverage(n, Params(t, r)) == expected, (n, t, r)
 
 
 def test_closed_forms_match_sum():

@@ -66,12 +66,19 @@ def test_ball_recursion():
 
 def test_ball_size_matches_binomial_sum_at_scale():
     # ball_size steps from term to term by an exact ratio; here every term
-    # C(n, i) C(d, i) 2^i is computed on its own.
+    # C(n, i) C(d, i) 2^i is computed on its own. shell_size is a difference
+    # of balls; here it counts points by their i zero coordinates: choose
+    # them, sign the rest, and compose d into the nonzero magnitudes.
     for n, d in ((200, 300), (300, 200), (1000, 1000), (1, 10**6), (37, 7000)):
         expected = sum(
             math.comb(n, i) * math.comb(d, i) * 2**i for i in range(min(n, d) + 1)
         )
         assert ball_size(n, d) == expected, (n, d)
+        shell = sum(
+            math.comb(n, i) * 2 ** (n - i) * math.comb(d - 1, n - i - 1)
+            for i in range(n)
+        )
+        assert shell_size(n, d) == shell, (n, d)
     assert ball_size(150, 200) == delannoy(150, 200)
 
 
@@ -117,27 +124,27 @@ def test_shell_enumerate_cap():
 
 
 def test_genfunc_bivariate_tables():
-    balls = genfunc_coefficients("B_bivariate", 10)
-    shells = genfunc_coefficients("S_bivariate", 10)
-    for i in range(11):
-        for j in range(11):
+    balls = genfunc_coefficients("B_bivariate", 40)
+    shells = genfunc_coefficients("S_bivariate", 40)
+    for i in range(41):
+        for j in range(41):
             assert balls[i][j] == ball_size(i, j), (i, j)
             assert shells[i][j] == shell_size(i, j), (i, j)
 
 
 def test_genfunc_univariate_kinds():
-    for fixed in (0, 1, 2, 3, 4):
-        assert genfunc_coefficients("B_fixed_d", 10, fixed=fixed) == [
-            ball_size(i, fixed) for i in range(11)
+    for fixed in (0, 1, 2, 3, 4, 17, 60):
+        assert genfunc_coefficients("B_fixed_d", 80, fixed=fixed) == [
+            ball_size(i, fixed) for i in range(81)
         ]
-        assert genfunc_coefficients("B_fixed_n", 10, fixed=fixed) == [
-            ball_size(fixed, j) for j in range(11)
+        assert genfunc_coefficients("B_fixed_n", 80, fixed=fixed) == [
+            ball_size(fixed, j) for j in range(81)
         ]
-        assert genfunc_coefficients("S_fixed_d", 10, fixed=fixed) == [
-            shell_size(i, fixed) for i in range(11)
+        assert genfunc_coefficients("S_fixed_d", 80, fixed=fixed) == [
+            shell_size(i, fixed) for i in range(81)
         ]
-        assert genfunc_coefficients("S_fixed_n", 10, fixed=fixed) == [
-            shell_size(fixed, j) for j in range(11)
+        assert genfunc_coefficients("S_fixed_n", 80, fixed=fixed) == [
+            shell_size(fixed, j) for j in range(81)
         ]
 
 
