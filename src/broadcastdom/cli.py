@@ -2,28 +2,29 @@
 
 One subcommand per operation, three output formats (text, json, csv), and
 scripting-friendly exit codes: 0 for success or a true verdict, 1 for a
-false domination verdict, 2 for errors. All output is deterministic; json
-carries a timestamp that --no-timestamp suppresses, making reruns
-byte-identical. Unbounded counts are serialized as decimal strings so no
-consumer is tempted to push them through floating point. Progress chatter
-goes to stderr only.
+false domination verdict, 2 for errors, out of memory included. All output
+is deterministic; json carries a timestamp that --no-timestamp suppresses,
+making reruns byte-identical. Unbounded counts are serialized as decimal
+strings so no consumer is tempted to push them through floating point.
+Progress chatter goes to stderr only.
 
-Each command hands one json payload and one text block to `_emit`; csv
-carries the payload's scalar fields under a header of their names (one row
-per table3 cell or vizing-scan pair). The payloads of gamma, verify-torus,
-verify-lemma2 and vizing-scan are read from the library's result records, so
-a new record field reaches the json without an edit here. shell --enumerate,
-genfunc, bijection, tower-table and lattice-check write their own csv rows,
-because their csv lays the data out differently from their json; lower-bound
-and gamma write theirs to flatten dims and witness into one cell. The text
-block and the rows may be zero-argument callables, and `_emit` calls only
-the one the chosen format prints: the large bodies of tower-table,
+Each command returns `_emit(...)`: one json payload and one text block in, the
+exit code out. csv carries the payload's scalar fields under a header of their
+names (one row per table3 cell or vizing-scan pair). The payloads of gamma,
+verify-torus, verify-lemma2 and vizing-scan are read from the library's result
+records, so a new record field reaches the json without an edit here. shell
+--enumerate, genfunc, bijection, tower-table and lattice-check write their own
+csv rows, because their csv lays the data out differently from their json;
+lower-bound and gamma write theirs to flatten dims and witness into one cell.
+The text block and the rows may be zero-argument callables, and `_emit` calls
+only the one the chosen format prints: the large bodies of tower-table,
 lattice-check, shell --enumerate and genfunc are built on demand. json comes
 from `_dumps`, which writes the bytes of `json.dumps(..., indent=2)` without
-the standard library's pure-Python encoder. `main` parses with one parser
-per process. The worker pool of `table3 --threads` and the json timestamp
-import their standard-library modules on the path that uses them, so other
-commands do not pay for those imports at start-up.
+the standard library's pure-Python encoder. `main` parses with one parser per
+process, builds `args.params` for every subcommand with an r, and sends every
+error through one handler. The worker pool of `table3 --threads` and the json
+timestamp import their standard-library modules on the path that uses them, so
+other commands do not pay for those imports at start-up.
 """
 
 from __future__ import annotations
@@ -121,8 +122,8 @@ def _dumps(obj, pad: str = "\n") -> str:
     return json.dumps(obj)
 
 
-def _emit(args, payload: dict, text, columns=None, rows=None) -> None:
-    """Write the report in the chosen format to stdout or --output.
+def _emit(args, payload: dict, text, columns=None, rows=None, code=EXIT_OK) -> int:
+    """Write the report in the chosen format to stdout or --output; return code.
 
     json is the payload under the subcommand name; csv is the `columns`
     header, by default the payload's keys, over `rows`, which default to the
@@ -158,19 +159,19 @@ def _emit(args, payload: dict, text, columns=None, rows=None) -> None:
             fh.write(body)
     else:
         sys.stdout.write(body)
+    return code
 
 
 def _point_str(point) -> str:
     return "(" + ", ".join(str(x) for x in point) + ")"
 
 
-def _count(key: str, fn):
-    # A count command: its int positionals by name, then fn of them under key.
+def _count(key: str, fn, *inputs):
+    # A count command: its int positionals, then fn(*inputs or positionals) under key.
     def cmd(args) -> int:
-        values = [getattr(args, name) for name in args.ints]
-        payload = {**dict(zip(args.ints, values)), key: str(fn(*values))}
-        _emit(args, payload, payload[key])
-        return EXIT_OK
+        payload = {name: getattr(args, name) for name in args.ints}
+        payload[key] = str(fn(*(getattr(args, name) for name in inputs or args.ints)))
+        return _emit(args, payload, payload[key])
     return cmd
 
 
@@ -184,8 +185,7 @@ def _cmd_shell(args) -> int:
     payload["points"] = [list(p) for p in points]
     rows = lambda: [[args.n, args.d, size, _point_str(p)] for p in points]
     text = lambda: "\n".join(_point_str(p) for p in points) or "(no points)"
-    _emit(args, payload, text, columns, rows)
-    return EXIT_OK
+    return _emit(args, payload, text, columns, rows)
 
 
 def _cmd_genfunc(args) -> int:
@@ -210,8 +210,7 @@ def _cmd_genfunc(args) -> int:
         header = ["index", "coefficient"]
         rows = lambda: [[i, str(c)] for i, c in enumerate(coeffs)]
         text = lambda: " ".join(str(c) for c in coeffs)
-    _emit(args, payload, text, header, rows)
-    return EXIT_OK
+    return _emit(args, payload, text, header, rows)
 
 
 def _cmd_bijection(args) -> int:
@@ -230,49 +229,42 @@ def _cmd_bijection(args) -> int:
         "image": list(image),
     }
     text = f"{_point_str(point)} -> {_point_str(image)}"
-    _emit(
+    return _emit(
         args, payload, text, ["point", "n", "d", "image"],
         [[_point_str(point), args.n, args.d, _point_str(image)]],
     )
-    return EXIT_OK
 
 
 def _cmd_coverage(args) -> int:
-    params = Params(args.t, args.r)
     if args.closed_form:
-        value = coverage_closed_form(args.n, params)
+        value = coverage_closed_form(args.n, args.params)
         method = "closed-form"
     else:
-        value = coverage(args.n, params)
+        value = coverage(args.n, args.params)
         method = "sum"
     payload = {
         "n": args.n, "t": args.t, "r": args.r,
         "coverage": str(value), "method": method,
     }
-    _emit(args, payload, str(value))
-    return EXIT_OK
+    return _emit(args, payload, str(value))
 
 
 def _cmd_lower_bound(args) -> int:
     grid = GridDims(tuple(_parse_int_list(args.dims, "--dims")))
-    params = Params(args.t, args.r)
-    cov = coverage(grid.n, params)
-    bound = domination_lower_bound(grid, params)
+    cov = coverage(grid.n, args.params)
+    bound = domination_lower_bound(grid, args.params)
     payload = {
         "dims": list(grid.dims), "t": args.t, "r": args.r,
         "volume": str(grid.volume), "coverage": str(cov),
         "lower_bound": str(bound),
     }
     flat = {**payload, "dims": "x".join(map(str, grid.dims))}
-    _emit(args, payload, str(bound), rows=[list(flat.values())])
-    return EXIT_OK
+    return _emit(args, payload, str(bound), rows=[list(flat.values())])
 
 
 def _cmd_tower_check(args) -> int:
-    params = Params(args.t, args.r)
     pattern = TowerPattern(args.d, args.e)
-    lattice = SublatticePattern(((args.d, 0), (args.e, 1)))
-    receptions = list(lattice_receptions(params, lattice).values())
+    receptions = list(lattice_receptions(args.params, pattern).values())
     dominating = min(receptions) >= args.r
     payload = {
         "t": args.t, "r": args.r, "pattern": str(pattern),
@@ -284,8 +276,9 @@ def _cmd_tower_check(args) -> int:
         f"{pattern} {verdict} under ({args.t},{args.r})\n"
         f"receptions: {' '.join(map(str, receptions))}"
     )
-    _emit(args, payload, text, ["t", "r", "d", "e", "dominating", "min_reception"])
-    return EXIT_OK if dominating else EXIT_FALSE
+    columns = ["t", "r", "d", "e", "dominating", "min_reception"]
+    code = EXIT_OK if dominating else EXIT_FALSE
+    return _emit(args, payload, text, columns, code=code)
 
 
 def _table_text(profile) -> str:
@@ -304,9 +297,8 @@ def _table_text(profile) -> str:
 
 
 def _cmd_tower_table(args) -> int:
-    params = Params(args.t, args.r)
     pattern = TowerPattern(args.d, args.e)
-    profile = reception_table(params, pattern)
+    profile = reception_table(args.params, pattern)
     dominating = min(profile.receptions) >= args.r
     payload = {
         "t": args.t, "r": args.r, "pattern": str(pattern),
@@ -318,20 +310,17 @@ def _cmd_tower_table(args) -> int:
     rows = lambda: [
         [y, *vec] for y, vec in (*profile.rows, ("Sum", profile.receptions))
     ]
-    _emit(args, payload, lambda: _table_text(profile), header, rows)
-    return EXIT_OK
+    return _emit(args, payload, lambda: _table_text(profile), header, rows)
 
 
 def _cmd_tower_search(args) -> int:
-    params = Params(args.t, args.r)
-    pattern = min_density_search(params)
-    ceiling = max_potential_d(2, params)
+    pattern = min_density_search(args.params)
+    ceiling = max_potential_d(2, args.params)
     payload = {
         "t": args.t, "r": args.r, "pattern": str(pattern),
         "d": pattern.d, "e": pattern.e, "max_potential_d": str(ceiling),
     }
-    _emit(args, payload, str(pattern), ["t", "r", "d", "e", "max_potential_d"])
-    return EXIT_OK
+    return _emit(args, payload, str(pattern), ["t", "r", "d", "e", "max_potential_d"])
 
 
 def _table3_cell(cell: tuple[int, int]) -> dict[str, int]:
@@ -363,14 +352,12 @@ def _cmd_table3(args) -> int:
         lines[-1] += str(cell["d"]).rjust(width)
     payload = {"t_max": args.tmax, "cells": results}
     rows = [list(cell.values()) for cell in results]
-    _emit(args, payload, "\n".join(lines), list(results[0]), rows)
-    return EXIT_OK
+    return _emit(args, payload, "\n".join(lines), list(results[0]), rows)
 
 
 def _cmd_lattice_check(args) -> int:
-    params = Params(args.t, args.r)
     pattern = SublatticePattern(_parse_basis(args.basis))
-    receptions = lattice_receptions(params, pattern, args.index_cap)
+    receptions = lattice_receptions(args.params, pattern, args.index_cap)
     # A coset that no offset reaches reads 0 < r.
     dominating = all(v >= args.r for v in receptions.values())
     payload = {
@@ -390,13 +377,12 @@ def _cmd_lattice_check(args) -> int:
         f"{pattern} (index {pattern.index}) {verdict} under ({args.t},{args.r})",
         *(f"{_point_str(rep)}: {val}" for rep, val in receptions.items()),
     ])
-    _emit(args, payload, text, ["coset", "reception"], rows)
-    return EXIT_OK if dominating else EXIT_FALSE
+    code = EXIT_OK if dominating else EXIT_FALSE
+    return _emit(args, payload, text, ["coset", "reception"], rows, code=code)
 
 
 def _cmd_lattice_search3d(args) -> int:
-    params = Params(args.t, args.r)
-    pattern = lattice_search_3d(params, index_cap=args.cap)
+    pattern = lattice_search_3d(args.params, index_cap=args.cap)
     payload = {
         "t": args.t, "r": args.r, "index_cap": args.cap,
         "pattern": str(pattern),
@@ -405,41 +391,31 @@ def _cmd_lattice_search3d(args) -> int:
         "e1": pattern.basis[1][0],
         "e2": pattern.basis[2][0],
     }
-    _emit(args, payload, str(pattern), ["t", "r", "d", "e1", "e2"])
-    return EXIT_OK
+    return _emit(args, payload, str(pattern), ["t", "r", "d", "e1", "e2"])
 
 
 def _grid_text(graph: FiniteGraph, receptions: dict, witness) -> Optional[str]:
-    # ASCII reception grid for graphs whose labels form a complete 2D grid
-    # of integer pairs; broadcast vertices are marked with '*'.
+    # ASCII reception grid for graphs with 2-tuple labels, which parse_graph_expr
+    # gives only to the full grid of two factors; broadcasts are marked '*'.
     labels = graph.labels
-    if not all(
-        isinstance(lab, tuple) and len(lab) == 2
-        and all(isinstance(c, int) for c in lab)
-        for lab in labels
-    ):
+    if not all(isinstance(lab, tuple) and len(lab) == 2 for lab in labels):
         return None
     xs = sorted({lab[0] for lab in labels})
     ys = sorted({lab[1] for lab in labels})
-    if len(xs) * len(ys) != len(labels):
-        return None
     marked = set(witness or ())
     cells = {
         lab: str(receptions[lab]) + ("*" if lab in marked else "")
         for lab in labels
     }
     width = max(len(v) for v in cells.values())
-    lines = []
-    for x in xs:
-        lines.append(" ".join(cells[(x, y)].rjust(width) for y in ys))
-    return "\n".join(lines)
+    rows = (" ".join(cells[(x, y)].rjust(width) for y in ys) for x in xs)
+    return "\n".join(rows)
 
 
 def _cmd_gamma(args) -> int:
-    params = Params(args.t, args.r)
     graph = parse_graph_expr(args.expr)
     result = gamma_exact(
-        graph, params, size_cap=args.size_cap, node_budget=args.node_budget
+        graph, args.params, size_cap=args.size_cap, node_budget=args.node_budget
     )
     # json writes the witness's label tuples as arrays.
     payload = {"expr": args.expr, "t": args.t, "r": args.r, **vars(result)}
@@ -460,13 +436,12 @@ def _cmd_gamma(args) -> int:
             f"best known upper bound {result.upper_bound}"
         )
     flat = {**payload, "witness": " ".join(map(str, result.witness or ()))}
-    _emit(args, payload, text, rows=[list(flat.values())])
-    return EXIT_OK if exact else EXIT_ERROR
+    code = EXIT_OK if exact else EXIT_ERROR
+    return _emit(args, payload, text, rows=[list(flat.values())], code=code)
 
 
 def _cmd_verify_lemma2(args) -> int:
-    params = Params(args.t, args.r)
-    report = verify_cycle_lemma(params)
+    report = verify_cycle_lemma(args.params)
     status = (
         "not-applicable" if not report.applicable
         else ("passed" if report.passed else "failed")
@@ -480,23 +455,19 @@ def _cmd_verify_lemma2(args) -> int:
             payload[key] = value
     if not report.applicable:
         text = f"not applicable: {report.note}"
-        code = EXIT_OK
     elif report.passed:
         text = (
             f"C_{report.n} under ({report.t},{report.r}): gamma = {report.gamma}, "
             f"canonical witness {report.canonical_witness} dominates: passed"
         )
-        code = EXIT_OK
     else:
         text = f"C_{report.n} under ({report.t},{report.r}): failed"
-        code = EXIT_FALSE
-    _emit(args, payload, text, ["t", "r", "n", "status", "gamma"])
-    return code
+    code = EXIT_FALSE if status == "failed" else EXIT_OK
+    return _emit(args, payload, text, ["t", "r", "n", "status", "gamma"], code=code)
 
 
 def _cmd_verify_torus(args) -> int:
-    params = Params(args.t, args.r)
-    report = verify_torus_counterexample(params, node_budget=args.node_budget)
+    report = verify_torus_counterexample(args.params, node_budget=args.node_budget)
     text = (
         f"C{report.n}xC{report.n} under ({report.t},{report.r}): "
         f"gamma = {report.gamma_torus} < {report.squared_bound} = gamma(C{report.n})^2; "
@@ -505,12 +476,11 @@ def _cmd_verify_torus(args) -> int:
         + ("passed" if report.passed else "failed")
     )
     columns = ["t", "r", "n", "gamma_torus", "gamma_cycle", "min_reception", "passed"]
-    _emit(args, vars(report), text, columns)
-    return EXIT_OK if report.passed else EXIT_FALSE
+    code = EXIT_OK if report.passed else EXIT_FALSE
+    return _emit(args, vars(report), text, columns, code=code)
 
 
 def _cmd_vizing_scan(args) -> int:
-    params = Params(args.t, args.r)
     pairs = []
     with open(args.pairs, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -525,7 +495,7 @@ def _cmd_vizing_scan(args) -> int:
             pairs.append((left.strip(), right.strip()))
     if not pairs:
         raise ValueError(f"{args.pairs}: no graph pairs found")
-    reports = vizing_scan(pairs, params, node_budget=args.node_budget)
+    reports = vizing_scan(pairs, args.params, node_budget=args.node_budget)
     # Each pair: g and h, then the record's fields after expr_g, expr_h, t, r.
     records = [
         {"g": rep.expr_g, "h": rep.expr_h, **dict(list(vars(rep).items())[4:])}
@@ -545,14 +515,13 @@ def _cmd_vizing_scan(args) -> int:
             f"distance={'holds' if rep.distance_product_holds else 'FAILS'}"
         )
     rows = [list(record.values()) for record in records]
-    _emit(args, payload, "\n".join(lines), list(records[0]), rows)
-    if any(rep.status != "exact" for rep in reports):
-        return EXIT_ERROR
     holds = all(
         rep.halved_product_holds_gh and rep.halved_product_holds_hg
         and rep.distance_product_holds for rep in reports
     )
-    return EXIT_OK if holds else EXIT_FALSE
+    capped = any(rep.status != "exact" for rep in reports)
+    code = EXIT_ERROR if capped else EXIT_OK if holds else EXIT_FALSE
+    return _emit(args, payload, "\n".join(lines), list(records[0]), rows, code=code)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -622,8 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "coverage lower bound on gamma for a finite grid", "t r")
     p.add_argument("--dims", required=True, help="side lengths, e.g. 5,5")
 
-    command("max-d",
-            _count("max_d", lambda n, t, r: max_potential_d(n, Params(t, r))),
+    command("max-d", _count("max_d", max_potential_d, "n", "params"),
             "largest candidate pattern period per the coverage bound", "n t r")
     command("tower-check", _cmd_tower_check,
             "verify whether the tower T(d,e) dominates under (t,r)", "t r d e")
@@ -681,17 +649,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads < 0:
-        print("error: --threads must be nonnegative", file=sys.stderr)
-        return EXIT_ERROR
     # Counts print in full; argv ints were parsed under the digit limit, restored after.
     set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
     limit = getattr(sys, "get_int_max_str_digits", int)()
     try:
+        if args.threads < 0:
+            raise ValueError("--threads must be nonnegative")
+        if hasattr(args, "r"):
+            args.params = Params(args.t, args.r)
         set_digits(0)
         return args.func(args)
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
+        # str(MemoryError()) is empty
+        message = "out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR
     finally:
         set_digits(limit)

@@ -2,11 +2,12 @@
 
 A pattern places a broadcast at every point of a full-rank sublattice of Z^n
 and dominates when every point still accumulates reception r; reception is
-constant on cosets. Towers, broadcasts at (m*d + y.e, y) for y in Z^(n-1),
-are searched in Z^2 and Z^3 by _tower_search from per-d row profiles indexed
-by |y|_1, rotated for each shift vector e, as are reception_table's rows.
-Every other reception reads the coset histogram, a dict from reached box
-representatives to receptions. All share the cap of DEFAULT_INDEX_CAP cosets.
+constant on cosets. T(d,e) is the SublatticePattern with basis ((d,0),(e,1)).
+Towers of Z^n, broadcasts at (m*d + y.e, y) for y in Z^(n-1), are searched
+in Z^2 and Z^3 by _tower_search from per-d row profiles indexed by |y|_1,
+rotated for each shift vector e, as are reception_table's rows. Every other
+reception reads the coset histogram, a dict from reached box representatives
+to receptions. All share the cap of DEFAULT_INDEX_CAP cosets.
 """
 
 from __future__ import annotations
@@ -25,23 +26,6 @@ DEFAULT_INDEX_CAP = 10**6
 
 class IndexCapExceeded(RuntimeError):
     """Raised when a sublattice has more cosets than the caller allowed."""
-
-
-@dataclass(frozen=True)
-class TowerPattern:
-    """Broadcasts at {(m*d + k*e, k) : m, k integers}, with 0 <= e < d."""
-
-    d: int
-    e: int
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("period d must be at least 1")
-        if not 0 <= self.e < self.d:
-            raise ValueError("shift e must satisfy 0 <= e < d")
-
-    def __str__(self) -> str:
-        return f"T({self.d},{self.e})"
 
 
 @dataclass(frozen=True)
@@ -128,13 +112,12 @@ def _row_profiles(t: int, d: int) -> list[list[int]]:
 def tower_reception(params: Params, pattern: TowerPattern, i: int) -> int:
     """Total reception at column i of row 0, one value per residue class.
 
-    The coset histogram of ((d,0),(e,1)) at (i, 0); refuses d > DEFAULT_INDEX_CAP.
+    The tower's coset histogram at (i, 0); refuses d > DEFAULT_INDEX_CAP.
     """
     if not 0 <= i < pattern.d:
         raise ValueError(f"column must satisfy 0 <= i < {pattern.d}")
     _check_index(pattern.d, DEFAULT_INDEX_CAP)
-    basis = ((pattern.d, 0), (pattern.e, 1))
-    return _coset_histogram(params.t, basis).get((i, 0), 0)
+    return _coset_histogram(params.t, pattern.basis).get((i, 0), 0)
 
 
 def reception_table(params: Params, pattern: TowerPattern) -> ReceptionProfile:
@@ -153,9 +136,8 @@ def reception_table(params: Params, pattern: TowerPattern) -> ReceptionProfile:
 
 
 def is_dominating_tower(params: Params, pattern: TowerPattern) -> bool:
-    """Whether the tower dominates: is_dominating_lattice on the basis ((d,0),(e,1))."""
-    lattice = SublatticePattern(((pattern.d, 0), (pattern.e, 1)))
-    return is_dominating_lattice(params, lattice)
+    """Whether the tower dominates: is_dominating_lattice on its basis."""
+    return is_dominating_lattice(params, pattern)
 
 
 def _shift_vectors(n: int, d: int) -> Iterator[tuple[int, ...]]:
@@ -306,6 +288,20 @@ class SublatticePattern:
         if self.n == 2 and self.basis[1][1] == 1:
             return f"T({self.basis[0][0]},{self.basis[1][0]})"
         return "L(" + "; ".join(",".join(map(str, col)) for col in self.basis) + ")"
+
+
+class TowerPattern(SublatticePattern):
+    """T(d,e), broadcasts at (m*d + k*e, k): the basis ((d,0),(e,1)), 0 <= e < d."""
+
+    def __init__(self, d: int, e: int) -> None:
+        if d < 1:
+            raise ValueError("period d must be at least 1")
+        if not 0 <= e < d:
+            raise ValueError("shift e must satisfy 0 <= e < d")
+        super().__init__(((d, 0), (e, 1)))
+
+    d = property(lambda self: self.basis[0][0])
+    e = property(lambda self: self.basis[1][0])
 
 
 def lattice_receptions(

@@ -21,7 +21,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from broadcastdom import ball_size, cli, shell_size
+from broadcastdom import (
+    Params,
+    ball_size,
+    cli,
+    gamma_exact,
+    parse_graph_expr,
+    reception_map,
+    shell_size,
+)
 from broadcastdom.cli import main
 
 FIXTURE_DIR = Path(__file__).parent / "data"
@@ -260,6 +268,39 @@ def test_gamma_grid_text(capsys):
     code, out, _ = run(capsys, "gamma", "P5*P5", "3", "2")
     assert code == 0
     assert out == GAMMA_GRID_5X5
+    # Any two factors print a grid, rebuilt here from the sorted x and y labels.
+    for expr in ["P1*P1", "C3*P2", "P2*(P3)", "((P2))*P3"]:
+        code, out, _ = run(capsys, "gamma", expr, "2", "1")
+        assert code == 0, expr
+        graph = parse_graph_expr(expr)
+        witness = gamma_exact(graph, Params(2, 1)).witness
+        receptions = reception_map(graph, witness, 2)
+        xs = sorted({x for x, _ in graph.labels})
+        ys = sorted({y for _, y in graph.labels})
+        cells = {
+            (x, y): str(receptions[(x, y)]) + ("*" if (x, y) in witness else "")
+            for x in xs for y in ys
+        }
+        width = max(map(len, cells.values()))
+        grid = [" ".join(cells[(x, y)].rjust(width) for y in ys) for x in xs]
+        assert out.splitlines()[2:] == grid, expr
+        assert len(cells) == graph.vertex_count, expr
+    # One factor or three print only the two header lines.
+    for expr in ["C6", "P2*P2*P2", "(P2*P3)*C4"]:
+        code, out, _ = run(capsys, "gamma", expr, "2", "1")
+        assert code == 0, expr
+        header, witness_line = out.splitlines()
+        assert header.startswith(f"gamma({expr}, t=2, r=1) = "), expr
+        assert witness_line.startswith("witness: "), expr
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    # str(MemoryError()) is empty, so the message names the error itself.
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "gamma_exact", exhausted)
+    assert run(capsys, "gamma", "P5", "1", "1") == (2, "", "error: out of memory\n")
 
 
 def test_gamma_json_and_cap(capsys):
@@ -407,6 +448,15 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "12\n"
+    # The verdict and cap exit codes survive a report written to a file.
+    for argv, expected in [
+        (["tower-check", "2", "1", "6", "2"], 1),
+        (["gamma", "P5*P5", "2", "1", "--node-budget", "3"], 2),
+    ]:
+        code, printed, _ = run(capsys, *argv)
+        assert code == expected
+        assert run(capsys, *argv, "--output", str(target)) == (expected, "", "")
+        assert target.read_text() == printed
 
 
 def test_unknown_subcommand_and_seedless(capsys):

@@ -261,6 +261,16 @@ def test_lattice_receptions_match_tower():
         assert is_dominating_lattice(params, lattice) == is_dominating_tower(
             params, tower
         )
+        # A tower is the sublattice with basis ((d,0),(e,1)).
+        assert isinstance(tower, SublatticePattern)
+        assert tower.basis == ((d, 0), (e, 1))
+        assert tower.index == d
+        assert lattice_receptions(params, tower) == recs
+        # Towers compare by basis; a tower stays unequal to the plain lattice.
+        assert tower == TowerPattern(d, e)
+        assert hash(tower) == hash(TowerPattern(d, e))
+        assert tower != TowerPattern(d + 1, e)
+        assert tower != lattice
 
 
 def test_lattice_index_cap():
