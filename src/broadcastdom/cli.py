@@ -468,15 +468,17 @@ def _cmd_verify_lemma2(args) -> int:
 
 def _cmd_verify_torus(args) -> int:
     report = verify_torus_counterexample(args.params, node_budget=args.node_budget)
-    text = (
-        f"C{report.n}xC{report.n} under ({report.t},{report.r}): "
-        f"gamma = {report.gamma_torus} < {report.squared_bound} = gamma(C{report.n})^2; "
+    n = report.n
+    capped = None in (report.gamma_torus, report.gamma_cycle)
+    text = f"C{n}xC{n} under ({report.t},{report.r}): " + (
+        "cap exceeded" if capped else
+        f"gamma = {report.gamma_torus} < {report.squared_bound} = gamma(C{n})^2; "
         f"min reception {report.min_reception} "
         f"(expected {report.expected_min_reception}): "
         + ("passed" if report.passed else "failed")
     )
     columns = ["t", "r", "n", "gamma_torus", "gamma_cycle", "min_reception", "passed"]
-    code = EXIT_OK if report.passed else EXIT_FALSE
+    code = EXIT_ERROR if capped else EXIT_OK if report.passed else EXIT_FALSE
     return _emit(args, vars(report), text, columns, code=code)
 
 

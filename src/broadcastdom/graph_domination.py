@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .coverage_bounds import Params
 
@@ -173,41 +173,45 @@ class FiniteGraph:
 
 class _Parser:
     # Grammar: expr := term ('*' term)*; term := P<int> | C<int> | '(' expr ')'
-    # Each rule returns a builder, called once the whole text has parsed, so
-    # an expression refused for its size allocates no graph.
+    # Each rule returns the atoms (kind, k) it read, and the graph is built
+    # once the whole text has parsed, so an expression refused for its size
+    # allocates no graph.
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
         self.vertices = 1  # the product of the atoms so far
 
-    def skip_ws(self) -> None:
+    def peek(self) -> str:
+        """Skip whitespace; the next character, or "" at the end."""
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
+        return self.text[self.pos : self.pos + 1]
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse_expr(self) -> Callable[[], FiniteGraph]:
-        factors = [self.parse_term()]
+    def parse_expr(self) -> list[tuple[str, int]]:
+        atoms = self.parse_term()
         while self.peek() == "*":
             self.pos += 1
-            factors.append(self.parse_term())
-        return lambda: reduce(FiniteGraph.box_product, (f() for f in factors))
+            atoms += self.parse_term()
+        return atoms
 
-    def parse_term(self) -> Callable[[], FiniteGraph]:
+    def parse_term(self) -> list[tuple[str, int]]:
         ch = self.peek()
         start = self.pos
         if ch == "(":
             self.pos += 1
-            build = self.parse_expr()
+            atoms = self.parse_expr()
             if self.peek() != ")":
                 raise GraphExprError("expected ')'", self.pos)
             self.pos += 1
-            return build
+            return atoms
         if ch in ("P", "C"):
             self.pos += 1
-            k = self._parse_int()
+            digits = self.pos
+            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                self.pos += 1
+            if self.pos == digits:
+                raise GraphExprError("expected a number", digits)
+            k = int(self.text[digits : self.pos])
             if ch == "P" and k < 1:
                 raise GraphExprError("path needs at least 1 vertex", start)
             if ch == "C" and k < 3:
@@ -218,33 +222,27 @@ class _Parser:
                 raise GraphExprError(
                     f"graph has more than {_MAX_EXPR_VERTICES} vertices", start
                 )
-            return lambda: (FiniteGraph.path if ch == "P" else FiniteGraph.cycle)(k)
+            return [(ch, k)]
         if ch == "":
             raise GraphExprError("unexpected end of expression", self.pos)
         raise GraphExprError(f"unexpected character {ch!r}", self.pos)
-
-    def _parse_int(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise GraphExprError("expected a number", start)
-        return int(self.text[start : self.pos])
 
 
 def parse_graph_expr(text: str) -> FiniteGraph:
     """Build a graph from an expression like ``P5*C4`` or ``(P2*P3)*C5``.
 
     Atoms are P<k> for the path on k vertices and C<k> for the cycle on k;
-    ``*`` is the box product and associates left. An expression of more
-    than 10^6 vertices is refused before any graph is built.
+    ``*`` is the box product, which is associative, so parentheses only
+    group. An expression of more than 10^6 vertices is refused before any
+    graph is built.
     """
     parser = _Parser(text)
-    build = parser.parse_expr()
-    parser.skip_ws()
-    if parser.pos != len(text):
+    atoms = parser.parse_expr()
+    if parser.peek():
         raise GraphExprError("trailing input", parser.pos)
-    return build()
+    graphs = (FiniteGraph.path(k) if kind == "P" else FiniteGraph.cycle(k)
+              for kind, k in atoms)
+    return reduce(FiniteGraph.box_product, graphs)
 
 
 def reception_map(
@@ -502,6 +500,11 @@ def gamma_exact(
     return GammaResult(status, gamma, witness, upper, nodes, graph.component_count)
 
 
+def _gammas(graphs, params: Params, node_budget: int) -> tuple[Optional[int], ...]:
+    # gamma of each graph in turn, None where its search ran out of budget
+    return tuple(gamma_exact(g, params, node_budget=node_budget).gamma for g in graphs)
+
+
 @dataclass(frozen=True)
 class CycleLemmaReport:
     """Check that the cycle of length 2(t - r + 1) is dominated by 2 broadcasts.
@@ -587,35 +590,19 @@ def verify_torus_counterexample(
     )
     canonical_ok = min_reception >= r
 
-    torus_result = gamma_exact(torus, params, node_budget=node_budget)
-    cycle_result = gamma_exact(cycle, params, node_budget=node_budget)
-    if torus_result.status == "exact" and cycle_result.status == "exact":
-        squared = cycle_result.gamma**2
-        violates = torus_result.gamma < squared
+    gamma_torus, gamma_cycle = _gammas((torus, cycle), params, node_budget)
+    if gamma_torus is None or gamma_cycle is None:
+        squared, violates, passed = None, None, False
+    else:
+        squared = gamma_cycle**2
+        violates = gamma_torus < squared
         passed = (
-            torus_result.gamma == 2
-            and violates
-            and canonical_ok
+            gamma_torus == 2 and violates and canonical_ok
             and min_reception == 2 * r - 2
         )
-    else:
-        squared = None
-        violates = None
-        passed = False
     return TorusReport(
-        t,
-        r,
-        n,
-        torus_result.gamma,
-        cycle_result.gamma,
-        squared,
-        violates,
-        canonical,
-        canonical_ok,
-        min_reception,
-        2 * r - 2,
-        min_vertices,
-        passed,
+        t, r, n, gamma_torus, gamma_cycle, squared, violates, canonical,
+        canonical_ok, min_reception, 2 * r - 2, min_vertices, passed,
     )
 
 
@@ -652,47 +639,21 @@ def vizing_scan(
 ) -> list[VizingPairReport]:
     """Evaluate the product inequalities over pairs of graph expressions."""
     t, r = params.t, params.r
-    base = Params(t, 1)
     reports = []
     for expr_g, expr_h in pairs:
         g = parse_graph_expr(expr_g)
         h = parse_graph_expr(expr_h)
-        results = {}
-        for name, graph in (("g", g), ("h", h), ("gh", g.box_product(h))):
-            results[name] = gamma_exact(graph, params, node_budget=node_budget)
-            # At r = 1 the (t, 1) search is the one just run.
-            results[name + "1"] = (
-                results[name]
-                if r == 1
-                else gamma_exact(graph, base, node_budget=node_budget)
-            )
-        if all(res.status == "exact" for res in results.values()):
-            status = "exact"
-            gh = results["gh"].gamma
-            holds_gh = 2 * gh >= results["g"].gamma * results["h1"].gamma
-            holds_hg = 2 * gh >= results["h"].gamma * results["g1"].gamma
-            holds_dist = (
-                results["gh1"].gamma >= results["g1"].gamma * results["h1"].gamma
-            )
+        graphs = (g, h, g.box_product(h))
+        at_r = _gammas(graphs, params, node_budget)
+        # At r = 1 the (t, 1) searches are the ones just run.
+        at_1 = at_r if r == 1 else _gammas(graphs, Params(t, 1), node_budget)
+        (g_r, h_r, gh_r), (g_1, h_1, gh_1) = at_r, at_1
+        if None in at_r + at_1:
+            status, holds = "cap-exceeded", (None, None, None)
         else:
-            status = "cap-exceeded"
-            holds_gh = holds_hg = holds_dist = None
+            status = "exact"
+            holds = (2 * gh_r >= g_r * h_1, 2 * gh_r >= h_r * g_1, gh_1 >= g_1 * h_1)
         reports.append(
-            VizingPairReport(
-                expr_g,
-                expr_h,
-                t,
-                r,
-                status,
-                results["g"].gamma,
-                results["h"].gamma,
-                results["gh"].gamma,
-                results["g1"].gamma,
-                results["h1"].gamma,
-                results["gh1"].gamma,
-                holds_gh,
-                holds_hg,
-                holds_dist,
-            )
+            VizingPairReport(expr_g, expr_h, t, r, status, *at_r, *at_1, *holds)
         )
     return reports

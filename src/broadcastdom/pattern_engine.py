@@ -303,6 +303,9 @@ class TowerPattern(SublatticePattern):
     d = property(lambda self: self.basis[0][0])
     e = property(lambda self: self.basis[1][0])
 
+    def __repr__(self) -> str:
+        return f"TowerPattern(d={self.d}, e={self.e})"
+
 
 def lattice_receptions(
     params: Params,

@@ -329,7 +329,12 @@ def test_gamma_parse_error(capsys):
     assert "offset" in err
 
 
-@pytest.mark.parametrize("expr, offset", [("P99999999999", 0), ("P100000*P100000", 8)])
+@pytest.mark.parametrize("expr, offset", [
+    ("P99999999999", 0),
+    ("P100000*P100000", 8),
+    ("P1000*(P1000*P2)", 13),
+    ("(P1000*P1000)*P2", 14),
+])
 def test_gamma_refuses_huge_graphs_before_building_them(capsys, expr, offset):
     # The search's memory grows with the square of the vertex count, so
     # expressions above 10^6 vertices are refused while parsing; one P100000
@@ -361,6 +366,40 @@ def test_verify_torus(capsys):
     code, _, err = run(capsys, "verify-torus", "3", "1")
     assert code == 2
     assert err.startswith("error:")
+
+
+TORUS_PASSED = (
+    "C4xC4 under (3,2): gamma = 2 < 4 = gamma(C4)^2; "
+    "min reception 2 (expected 2): passed\n"
+)
+
+
+@pytest.mark.parametrize("budget, code, text, gammas, row", [
+    # Both searches run out of budget.
+    ("0", 2, "C4xC4 under (3,2): cap exceeded\n", (None, None), "3,2,4,,,2,False"),
+    # The torus search finds gamma = 2; the C4 search runs out.
+    ("2", 2, "C4xC4 under (3,2): cap exceeded\n", (2, None), "3,2,4,2,,2,False"),
+    ("3", 0, TORUS_PASSED, (2, 2), "3,2,4,2,2,2,True"),
+], ids=["both-capped", "cycle-capped", "uncapped"])
+def test_verify_torus_node_budget(capsys, budget, code, text, gammas, row):
+    argv = ("verify-torus", "3", "2", "--node-budget", budget)
+    assert run(capsys, *argv) == (code, text, "")
+    status, out, _ = run(capsys, *argv, "--format", "json", "--no-timestamp")
+    doc = json.loads(out)
+    assert status == code
+    assert (doc["gamma_torus"], doc["gamma_cycle"]) == gammas
+    assert doc["passed"] == (code == 0)
+    status, out, _ = run(capsys, *argv, "--format", "csv")
+    assert status == code
+    assert out.splitlines()[1] == row
+
+
+@pytest.mark.parametrize("content", ["# only a comment\n", "\n  \n", "# a\n\n# b\n"])
+def test_vizing_scan_without_pairs_is_an_error(tmp_path, capsys, content):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(content)
+    code, out, err = run(capsys, "vizing-scan", "--pairs", str(pairs), "1", "1")
+    assert (code, out, err) == (2, "", f"error: {pairs}: no graph pairs found\n")
 
 
 def test_vizing_scan(tmp_path, capsys):

@@ -77,6 +77,16 @@ def test_closed_form_dimension_limit():
         coverage_closed_form(0, Params(3, 2))
 
 
+@pytest.mark.parametrize("fn, args, message", [
+    (coverage, (0, Params(2, 1)), "dimension must be at least 1"),
+    (coverage, (-1, Params(2, 1)), "dimension must be at least 1"),
+])
+def test_validation_raises(fn, args, message):
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    assert str(err.value) == message
+
+
 def test_domination_lower_bound_rounds_up():
     # 18x18 under (4,2): ceil(2 * 324 / 38) = ceil(17.05...) = 18
     assert domination_lower_bound(GridDims((18, 18)), Params(4, 2)) == 18

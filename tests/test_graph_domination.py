@@ -106,6 +106,37 @@ def test_parse_graph_expr():
         assert err.value.position == pos, text
 
 
+P, C = FiniteGraph.path, FiniteGraph.cycle
+
+
+@pytest.mark.parametrize("expr, nested", [
+    ("P2*(P3*C4)", lambda: P(2).box_product(P(3).box_product(C(4)))),
+    ("(P2*P3)*C4", lambda: P(2).box_product(P(3)).box_product(C(4))),
+    ("C3*(P2*(P2*P3))",
+     lambda: C(3).box_product(P(2).box_product(P(2).box_product(P(3))))),
+    ("((P3))", lambda: P(3)),
+])
+def test_parentheses_only_group(expr, nested):
+    # The box product is associative, so the expression, its flat form and
+    # the grouping built factor by factor have the same vertices in the
+    # same order, with the same neighbours.
+    flat = expr.replace("(", "").replace(")", "")
+    graphs = (parse_graph_expr(expr), parse_graph_expr(flat), nested())
+    shapes = [[(v, g.neighbors(v)) for v in g.labels] for g in graphs]
+    assert shapes[0] == shapes[1] == shapes[2]
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (reception_map, (P(3), [], 0), "t must be at least 1"),
+    (FiniteGraph, ([1], [(1, 2)]), "edge endpoint 2 is not a vertex"),
+    (FiniteGraph, ([1], [(2, 1)]), "edge endpoint 2 is not a vertex"),
+])
+def test_validation_raises(fn, args, message):
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    assert str(err.value) == message
+
+
 def test_reception_map_on_path():
     p5 = FiniteGraph.path(5)
     assert reception_map(p5, (3,), 3) == {1: 1, 2: 2, 3: 3, 4: 2, 5: 1}

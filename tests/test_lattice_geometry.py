@@ -5,6 +5,7 @@ import math
 import pytest
 
 from broadcastdom import (
+    SignedTuple,
     EnumerationCapExceeded,
     ball_bijection,
     ball_size,
@@ -189,6 +190,21 @@ def test_tuple_decode_rejects_short_dimension():
     seq = tuple_encode((1, 0, 2))
     with pytest.raises(ValueError):
         tuple_decode(seq, 2)
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (delannoy, (-1, 0), "indices must be nonnegative"),
+    (shell_enumerate, (-1, 2), "dimension must be nonnegative"),
+    (shell_enumerate, (2, -1), "distance must be nonnegative"),
+    (tuple_decode, (tuple_encode(()), -1), "dimension must be nonnegative"),
+    (SignedTuple, (0, 1, 1), "sign must be +1 or -1"),
+    (SignedTuple, (1, 0, 1), "gap must be at least 1"),
+    (SignedTuple, (-1, 1, 0), "magnitude must be at least 1"),
+])
+def test_validation_raises(fn, args, message):
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    assert str(err.value) == message
 
 
 def test_bijection_worked_examples():

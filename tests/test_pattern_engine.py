@@ -249,6 +249,24 @@ def test_sublattice_equality_after_normalization():
     assert a.basis == b.basis
 
 
+@pytest.mark.parametrize("d, e", [(1, 0), (5, 2), (18, 5), (1262, 495)])
+def test_tower_repr_evaluates_back(d, e):
+    tower = TowerPattern(d, e)
+    assert repr(tower) == f"TowerPattern(d={d}, e={e})"
+    assert eval(repr(tower)) == tower
+
+
+@pytest.mark.parametrize("basis, text", [
+    (((18, 0), (5, 1)), "SublatticePattern(basis=((18, 0), (5, 1)))"),
+    (((3, 0, 0), (1, 2, 0), (0, 1, 4)),
+     "SublatticePattern(basis=((3, 0, 0), (1, 2, 0), (0, 1, 4)))"),
+])
+def test_sublattice_repr_is_the_dataclass_repr(basis, text):
+    pattern = SublatticePattern(basis)
+    assert repr(pattern) == text
+    assert eval(repr(pattern)) == pattern
+
+
 def test_lattice_receptions_match_tower():
     for t, r, d, e in [(2, 1, 5, 2), (4, 2, 18, 5), (3, 2, 3, 2)]:
         params = Params(t, r)
