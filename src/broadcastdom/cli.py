@@ -50,6 +50,8 @@ from .coverage_bounds import (
 from .graph_domination import (
     DEFAULT_NODE_BUDGET,
     FiniteGraph,
+    GraphExprError,
+    _graph_atoms,
     gamma_exact,
     parse_graph_expr,
     reception_map,
@@ -493,8 +495,13 @@ def _cmd_vizing_scan(args) -> int:
                 raise ValueError(
                     f"{args.pairs}:{lineno}: expected 'EXPR,EXPR', got {line!r}"
                 )
-            left, right = line.split(",", 1)
-            pairs.append((left.strip(), right.strip()))
+            pair = tuple(expr.strip() for expr in line.split(",", 1))
+            for expr in pair:  # every pair is read before the first search
+                try:
+                    _graph_atoms(expr)
+                except GraphExprError as exc:
+                    raise ValueError(f"{args.pairs}:{lineno}: {exc}") from None
+            pairs.append(pair)
     if not pairs:
         raise ValueError(f"{args.pairs}: no graph pairs found")
     reports = vizing_scan(pairs, args.params, node_budget=args.node_budget)

@@ -37,9 +37,9 @@ DEFAULT_NODE_BUDGET = 5_000_000
 # Most entries _min_cover keeps in its memo of failed subtrees; full, the
 # memo adds about 1.5 MB to the search on C10 x C10 at (3, 2).
 _MEMO_CAP = 1 << 14
-# Most vertices a graph expression may describe. The search's memory grows
-# with the square of the vertex count (P100000 at (1, 1) peaks at 5.2 GB),
-# so no expression above this bound can be solved.
+# Most vertices of any graph the library builds, parsed or constructed. The
+# search's memory grows with the square of the vertex count (P100000 at
+# (1, 1) peaks at 5.2 GB), so no graph above this bound can be solved.
 _MAX_EXPR_VERTICES = 10**6
 
 Label = Hashable
@@ -51,6 +51,11 @@ class GraphExprError(ValueError):
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} at offset {position}")
         self.position = position
+
+
+def _check_size(vertices: int) -> None:
+    if vertices > _MAX_EXPR_VERTICES:
+        raise ValueError(f"graph has more than {_MAX_EXPR_VERTICES} vertices")
 
 
 def _flat(label: Label) -> tuple:
@@ -105,6 +110,7 @@ class FiniteGraph:
         """Path on vertices 1..k."""
         if k < 1:
             raise ValueError("path needs at least 1 vertex")
+        _check_size(k)
         return FiniteGraph(range(1, k + 1), ((i, i + 1) for i in range(1, k)))
 
     @staticmethod
@@ -112,6 +118,7 @@ class FiniteGraph:
         """Cycle on vertices 0..k-1; k must be at least 3."""
         if k < 3:
             raise ValueError("cycle needs at least 3 vertices")
+        _check_size(k)
         return FiniteGraph(range(k), ((i, (i + 1) % k) for i in range(k)))
 
     def box_product(self, other: "FiniteGraph") -> "FiniteGraph":
@@ -120,6 +127,7 @@ class FiniteGraph:
         Vertices are ordered row-major: all of other's labels under the first
         label of self, then the second, and so on.
         """
+        _check_size(self.vertex_count * other.vertex_count)
         labels = [
             _flat(a) + _flat(b) for a in self._labels for b in other._labels
         ]
@@ -171,61 +179,48 @@ class FiniteGraph:
         return count
 
 
-class _Parser:
-    # Grammar: expr := term ('*' term)*; term := P<int> | C<int> | '(' expr ')'
-    # Each rule returns the atoms (kind, k) it read, and the graph is built
-    # once the whole text has parsed, so an expression refused for its size
-    # allocates no graph.
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.vertices = 1  # the product of the atoms so far
-
-    def peek(self) -> str:
-        """Skip whitespace; the next character, or "" at the end."""
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos : self.pos + 1]
-
-    def parse_expr(self) -> list[tuple[str, int]]:
-        atoms = self.parse_term()
-        while self.peek() == "*":
-            self.pos += 1
-            atoms += self.parse_term()
-        return atoms
-
-    def parse_term(self) -> list[tuple[str, int]]:
-        ch = self.peek()
-        start = self.pos
-        if ch == "(":
-            self.pos += 1
-            atoms = self.parse_expr()
-            if self.peek() != ")":
-                raise GraphExprError("expected ')'", self.pos)
-            self.pos += 1
-            return atoms
-        if ch in ("P", "C"):
-            self.pos += 1
-            digits = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == digits:
-                raise GraphExprError("expected a number", digits)
-            k = int(self.text[digits : self.pos])
+def _graph_atoms(text: str) -> list[tuple[str, int]]:
+    # The atoms (kind, k) of an expression, in order. One loop alternates
+    # between wanting a term and having read one; the box product is
+    # associative, so a count of open parentheses is all grouping needs.
+    atoms, pos, depth, vertices, term = [], 0, 0, 1, True
+    while True:
+        while text[pos : pos + 1].isspace():
+            pos += 1
+        start, ch = pos, text[pos : pos + 1]
+        pos += 1
+        if term and ch == "(":
+            depth += 1
+        elif term and ch in ("P", "C"):
+            while text[pos : pos + 1].isdecimal():  # what int() accepts
+                pos += 1
+            if pos == start + 1:
+                raise GraphExprError("expected a number", pos)
+            k = int(text[start + 1 : pos])
             if ch == "P" and k < 1:
                 raise GraphExprError("path needs at least 1 vertex", start)
             if ch == "C" and k < 3:
                 raise GraphExprError("cycle needs at least 3 vertices", start)
             # Every factor and product divides the product of all atoms.
-            self.vertices *= k
-            if self.vertices > _MAX_EXPR_VERTICES:
+            vertices *= k
+            if vertices > _MAX_EXPR_VERTICES:
                 raise GraphExprError(
                     f"graph has more than {_MAX_EXPR_VERTICES} vertices", start
                 )
-            return [(ch, k)]
-        if ch == "":
-            raise GraphExprError("unexpected end of expression", self.pos)
-        raise GraphExprError(f"unexpected character {ch!r}", self.pos)
+            atoms.append((ch, k))
+            term = False
+        elif term and ch:
+            raise GraphExprError(f"unexpected character {ch!r}", start)
+        elif term:
+            raise GraphExprError("unexpected end of expression", start)
+        elif ch == "*":
+            term = True
+        elif ch == ")" and depth:
+            depth -= 1
+        elif depth or ch:
+            raise GraphExprError("expected ')'" if depth else "trailing input", start)
+        else:
+            return atoms
 
 
 def parse_graph_expr(text: str) -> FiniteGraph:
@@ -236,12 +231,8 @@ def parse_graph_expr(text: str) -> FiniteGraph:
     group. An expression of more than 10^6 vertices is refused before any
     graph is built.
     """
-    parser = _Parser(text)
-    atoms = parser.parse_expr()
-    if parser.peek():
-        raise GraphExprError("trailing input", parser.pos)
     graphs = (FiniteGraph.path(k) if kind == "P" else FiniteGraph.cycle(k)
-              for kind, k in atoms)
+              for kind, k in _graph_atoms(text))
     return reduce(FiniteGraph.box_product, graphs)
 
 

@@ -84,22 +84,22 @@ def delannoy(m: int, k: int) -> int:
     return row[k]
 
 
-def _shell_points(n: int, d: int) -> Iterator[LatticePoint]:
-    # First coordinate ascending, rest recursive: yields points in
-    # lexicographic order. The last coordinate can only be -d or d.
-    if n == 0:
-        if d == 0:
-            yield ()
-        return
-    if n == 1:
-        yield (-d,)
-        if d:
-            yield (d,)
-        return
-    for x in range(-d, d + 1):
-        rest = d - abs(x)
-        for tail in _shell_points(n - 1, rest):
-            yield (x, *tail)
+def _ball_walk(n: int, d: int) -> Iterator[tuple[LatticePoint, int]]:
+    """Each point y of B_n(d) with d - |y|_1, in lexicographic order.
+
+    A stack of (prefix, what it leaves), least on top; a prefix that leaves
+    0 closes with zeros at once, not with a node per remaining coordinate.
+    """
+    stack = [((), d)]
+    while stack:
+        head, left = stack.pop()
+        if not left or len(head) == n:
+            yield head + (0,) * (n - len(head)), left
+        elif len(head) == n - 1:
+            for x in range(-left, left + 1):
+                yield (*head, x), left - abs(x)
+        else:
+            stack += (((*head, x), left - abs(x)) for x in range(left, -left - 1, -1))
 
 
 def shell_enumerate(
@@ -107,20 +107,20 @@ def shell_enumerate(
 ) -> list[LatticePoint]:
     """All points of Z^n at L1 distance exactly d, in lexicographic order.
 
-    Refuses up front when the enclosing ball holds more than cap points.
+    Each point y of B_(n-1)(d) closes with -left, then +left. Refuses up
+    front when the enclosing ball holds more than cap points.
     """
-    if n < 0:
-        raise ValueError("dimension must be nonnegative")
-    if d < 0:
-        raise ValueError("distance must be nonnegative")
+    size = ball_size(n, d)  # refuses a negative n or d
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    size = ball_size(n, d)
     if size > cap:
         raise EnumerationCapExceeded(
             f"ball ({n}, {d}) has {size} points, above the cap of {cap}"
         )
-    return list(_shell_points(n, d))
+    if n == 0:
+        return [()] if d == 0 else []
+    return [(*y, x) for y, left in _ball_walk(n - 1, d)
+            for x in ((-left, left) if left else (0,))]
 
 
 def _binomial_poly(k: int) -> list[int]:

@@ -19,7 +19,7 @@ from operator import getitem, sub
 from typing import Iterator, Sequence
 
 from .coverage_bounds import Params, max_potential_d
-from .lattice_geometry import LatticePoint
+from .lattice_geometry import LatticePoint, _ball_walk
 
 DEFAULT_INDEX_CAP = 10**6
 
@@ -68,26 +68,25 @@ def _coset_histogram(
     """Reception of each reached coset, keyed by its box representative.
 
     Point p receives t - |off| from the broadcast at p - off, so offset off
-    adds to its own coset. One pass over B_n(t-1) walks coordinates n-1 down
-    to 1, carrying their reduction; each row of coordinate 0 adds reach - |x|
-    at ((shift + x) mod basis[0][0], *rest). Unreached cosets have no key.
+    adds to its own coset. Each y in B_(n-1)(t-1) is a row of offsets (x, *y)
+    with |x| < reach = t - |y|_1, each adding reach - |x| at ((shift + x) mod
+    d, *rest), where d = basis[0][0] and (shift, *rest) is (0, *y) reduced.
+    The walk lists y reversed, so rows that share y[1:] come in one run:
+    (0, 0, *y[1:]) is reduced once per run, then coordinate 1 alone per row.
+    Unreached cosets have no key.
     """
-    n, d = len(basis), basis[0][0]
-    hist: dict[tuple[int, ...], int] = {}
-
-    def walk(level: int, reach: int, residue: list[int]) -> None:
-        if level == 0:
-            rest, shift = tuple(residue[1:]), residue[0]
-            for x in range(1 - reach, reach):
-                key = ((shift + x) % d,) + rest
-                hist[key] = hist.get(key, 0) + reach - abs(x)
-            return
-        for x in range(1 - reach, reach):
-            partial = residue.copy()
-            partial[level] += x
-            walk(level - 1, reach - abs(x), _reduce(basis, partial))
-
-    walk(n - 1, t, [0] * n)
+    d, hist, tail = basis[0][0], {}, None
+    for z, left in _ball_walk(len(basis) - 1, t - 1):  # z is y reversed
+        shift, rest, reach = 0, (), left + 1
+        if z:
+            if z[:-1] != tail:
+                tail = z[:-1]
+                base = _reduce(basis, [0, 0, *tail[::-1]])
+            q, m = divmod(base[1] + z[-1], basis[1][1])
+            shift, rest = base[0] - q * basis[1][0], (m, *base[2:])
+        for x in range(-left, reach):
+            key = ((shift + x) % d,) + rest
+            hist[key] = hist.get(key, 0) + reach - abs(x)
     return hist
 
 
@@ -177,8 +176,7 @@ def _tower_search(n: int, params: Params, top: int) -> tuple[int, tuple[int, ...
     starts at k = d // 2, the column farthest from the broadcasts of e = 0.
     """
     t, r = params.t, params.r
-    box = itertools.product(range(1 - t, t), repeat=n - 1)
-    norms, offsets = zip(*((a, y) for y in box if (a := sum(map(abs, y))) < t))
+    norms, offsets = zip(*((t - 1 - left, y) for y, left in _ball_walk(n - 1, t - 1)))
     first, *rest = zip(*offsets)
     # offsets from the killer in walking order: 0, -1, 1, -2, 2, ...
     steps = [(k + 1) // 2 * (-1) ** k for k in range(top // 2 + 1)]

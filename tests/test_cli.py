@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from datetime import datetime
 from pathlib import Path
@@ -21,7 +22,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import broadcastdom.graph_domination as graph_domination
 from broadcastdom import (
+    CycleLemmaReport,
     Params,
     ball_size,
     cli,
@@ -323,10 +326,37 @@ def test_gamma_deep_search_exits_zero(capsys):
     assert doc["gamma"] == 1225
 
 
+def test_inputs_beyond_the_recursion_limit(capsys):
+    # Each of these took one Python frame per dimension or parenthesis.
+    assert sys.getrecursionlimit() <= 1000
+    code, out, _ = run(capsys, "shell", "1200", "1", "--enumerate", "--format", "csv")
+    assert (code, len(out.splitlines())) == (0, 2401)
+    deep = "(" * 1000 + "P2" + ")" * 1000
+    code, out, _ = run(capsys, "gamma", deep, "1", "1", "--format", "json",
+                       "--no-timestamp")
+    assert (code, json.loads(out)["gamma"]) == (0, 2)
+    n = 1100
+    basis = ";".join(",".join(str(int(i == j)) for i in range(n)) for j in range(n))
+    code, out, _ = run(capsys, "lattice-check", "1", "1", "--basis", basis)
+    lines = out.splitlines()
+    assert (code, len(lines)) == (0, 2)
+    assert lines[0].endswith(" (index 1) dominates under (1,1)")
+    assert lines[1] == "(" + ", ".join(["0"] * n) + "): 1"
+
+
 def test_gamma_parse_error(capsys):
     code, _, err = run(capsys, "gamma", "P5*Q5", "2", "1")
     assert code == 2
     assert "offset" in err
+    # A superscript two passes str.isdigit but not int(): a parse error,
+    # not int()'s own message. Arabic-Indic three is P3.
+    assert run(capsys, "gamma", "P\u00b2", "1", "1") == (
+        2, "", "error: expected a number at offset 1\n"
+    )
+    _, plain, _ = run(capsys, "gamma", "P3", "1", "1")
+    assert run(capsys, "gamma", "P\u0663", "1", "1") == (
+        0, plain.replace("P3", "P\u0663"), ""
+    )
 
 
 @pytest.mark.parametrize("expr, offset", [
@@ -357,6 +387,40 @@ def test_verify_lemma2(capsys):
     code, out, _ = run(capsys, "verify-lemma2", "2", "2")
     assert code == 0
     assert "not applicable" in out
+
+
+def test_verify_lemma2_failed_report(capsys, monkeypatch):
+    # No (t, r) fails the lemma, so the failed report is injected.
+    failed = CycleLemmaReport(
+        t=3, r=2, n=4, applicable=True, gamma=3, witness=(0, 1, 2),
+        canonical_witness=(0, 2), canonical_receptions=(3, 1, 3, 1),
+        passed=False, note="",
+    )
+    monkeypatch.setattr(cli, "verify_cycle_lemma", lambda params: failed)
+    argv = ("verify-lemma2", "3", "2")
+    assert run(capsys, *argv) == (1, "C_4 under (3,2): failed\n", "")
+    code, out, _ = run(capsys, *argv, "--format", "json", "--no-timestamp")
+    doc = json.loads(out)
+    assert (code, doc["status"], doc["gamma"]) == (1, "failed", 3)
+    assert "applicable" not in doc and "passed" not in doc
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert (code, out) == (1, "t,r,n,status,gamma\n3,2,4,failed,3\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("vizing-scan", "2", "1", "--pairs", "{pairs}"),
+    ("verify-torus", "1000", "2"),
+    ("verify-lemma2", "3000000", "1"),
+], ids=["vizing-scan", "verify-torus", "verify-lemma2"])
+def test_built_graphs_above_the_bound_exit_2(tmp_path, capsys, argv):
+    # P1000 x P1001 has 1,001,000 vertices, C1998 x C1998 3,992,004 and the
+    # cycle C_6000000 six million: each is refused before it is allocated.
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("P1000,P1001\n")
+    start = time.perf_counter()
+    result = run(capsys, *(arg.format(pairs=pairs) for arg in argv))
+    assert time.perf_counter() - start < 1
+    assert result == (2, "", "error: graph has more than 1000000 vertices\n")
 
 
 def test_verify_torus(capsys):
@@ -400,6 +464,26 @@ def test_vizing_scan_without_pairs_is_an_error(tmp_path, capsys, content):
     pairs.write_text(content)
     code, out, err = run(capsys, "vizing-scan", "--pairs", str(pairs), "1", "1")
     assert (code, out, err) == (2, "", f"error: {pairs}: no graph pairs found\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("P2,Q3", "unexpected character 'Q' at offset 0"),
+    ("( P2 ,P3", "expected ')' at offset 4"),
+    ("P2, P\u00b2", "expected a number at offset 1"),
+])
+def test_vizing_scan_reads_every_pair_before_searching(
+    tmp_path, capsys, monkeypatch, line, message
+):
+    # The bad expression is on line 3, after a good pair: no search runs,
+    # and the error names the file and the line.
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(f"P2,P3\n# a comment\n{line}\n")
+    calls = []
+    monkeypatch.setattr(graph_domination, "gamma_exact",
+                        lambda *args, **kwargs: calls.append(args))
+    result = run(capsys, "vizing-scan", "--pairs", str(pairs), "2", "1")
+    assert result == (2, "", f"error: {pairs}:3: {message}\n")
+    assert calls == []
 
 
 def test_vizing_scan(tmp_path, capsys):
@@ -578,3 +662,39 @@ def test_cli_import_skips_unused_stdlib_modules():
     assert "broadcastdom.cli" in loaded
     for name in ("multiprocessing", "datetime", "fractions", "decimal"):
         assert name not in loaded, name
+
+
+def test_only_dumps_calls_itself():
+    # Recursion depth would bound the input, so no function of the library
+    # reaches itself through calls, except _dumps, whose depth is that of
+    # the payload the CLI builds. Calls resolve by name, which can only
+    # over-report; super().__init__ is the parent's method, not a cycle.
+    import ast
+
+    def name(call):
+        func = call.func
+        if isinstance(func, ast.Name):
+            return func.id
+        parent = getattr(func, "value", None)
+        if isinstance(parent, ast.Call) and ast.unparse(parent.func) == "super":
+            return None
+        return getattr(func, "attr", None)
+
+    callees: dict[str, set] = {}
+    for path in sorted((SRC_DIR / "broadcastdom").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                callees.setdefault(node.name, set()).update(
+                    name(call) for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                )
+    recursive = set()
+    for start in callees:
+        seen, todo = set(), [start]
+        while todo:
+            for callee in callees.get(todo.pop(), set()) - seen:
+                seen.add(callee)
+                todo.append(callee)
+        if start in seen:
+            recursive.add(start)
+    assert recursive == {"_dumps"}

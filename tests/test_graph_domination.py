@@ -99,7 +99,11 @@ def test_parse_graph_expr():
     assert parse_graph_expr("P5").labels == (1, 2, 3, 4, 5)
     assert parse_graph_expr(" P2 * P3 ").vertex_count == 6
     assert parse_graph_expr("(P2*P2)*C3").vertex_count == 12
-    for text, pos in [("", 0), ("X3", 0), ("P", 1), ("P0", 0),
+    # Numbers are read in the digits int() accepts (str.isdecimal): Arabic-
+    # Indic digits are numbers, a superscript two (an isdigit digit) is not.
+    assert parse_graph_expr("P\u0663").labels == (1, 2, 3)
+    assert parse_graph_expr("C\u0661\u0660").labels == tuple(range(10))
+    for text, pos in [("", 0), ("X3", 0), ("P", 1), ("P0", 0), ("P\u00b2", 1),
                       ("C2", 0), ("(P2", 3), ("P2)", 2), ("P2*", 3)]:
         with pytest.raises(GraphExprError) as err:
             parse_graph_expr(text)
@@ -124,6 +128,56 @@ def test_parentheses_only_group(expr, nested):
     graphs = (parse_graph_expr(expr), parse_graph_expr(flat), nested())
     shapes = [[(v, g.neighbors(v)) for v in g.labels] for g in graphs]
     assert shapes[0] == shapes[1] == shapes[2]
+
+
+def test_parentheses_nest_beyond_the_recursion_limit():
+    # A depth count, not a frame per parenthesis, so 1,000 pairs parse.
+    assert sys.getrecursionlimit() <= 1000
+    deep = "(" * 1000 + "P2" + ")" * 1000
+    assert parse_graph_expr(deep).labels == (1, 2)
+    assert gamma_exact(parse_graph_expr(deep), Params(1, 1)).gamma == 2
+    for text, message in [
+        (deep[:-1], "expected ')' at offset 2001"),
+        (deep + ")", "trailing input at offset 2002"),
+        ("(" * 1000 + "P2*)" + ")" * 999, "unexpected character ')' at offset 1003"),
+    ]:
+        with pytest.raises(GraphExprError) as err:
+            parse_graph_expr(text)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FiniteGraph.path(13),
+    lambda: FiniteGraph.cycle(13),
+    lambda: P(3).box_product(C(5)),
+    lambda: parse_graph_expr("P3").box_product(parse_graph_expr("P2*P3")),
+], ids=["path", "cycle", "box-product", "box-of-products"])
+def test_constructors_refuse_graphs_above_the_bound(build):
+    # Every graph the library builds is bounded, not only parsed expressions:
+    # at a bound of 12, P12 and P3 x P4 are built and anything larger is not.
+    with mock.patch.object(graph_domination, "_MAX_EXPR_VERTICES", 12):
+        assert FiniteGraph.path(12).vertex_count == 12
+        assert C(12).vertex_count == P(3).box_product(P(4)).vertex_count == 12
+        with pytest.raises(ValueError) as err:
+            build()
+    assert str(err.value) == "graph has more than 12 vertices"
+
+
+def test_constructors_refuse_before_allocating():
+    # The real bound: refused with a plain ValueError (not a GraphExprError,
+    # which carries an offset), in far less memory than the graph would take.
+    tracemalloc.start()
+    try:
+        for build in (lambda: P(10**6 + 1), lambda: C(6 * 10**6),
+                      lambda: P(1000).box_product(P(1001))):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert type(err.value) is ValueError
+            assert str(err.value) == "graph has more than 1000000 vertices"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("fn, args, message", [

@@ -1,6 +1,7 @@
 """Shell and ball counting, generating functions, and the norm bijection."""
 
 import math
+import sys
 
 import pytest
 
@@ -16,7 +17,7 @@ from broadcastdom import (
     tuple_decode,
     tuple_encode,
 )
-from broadcastdom.lattice_geometry import GENFUNC_KINDS
+from broadcastdom.lattice_geometry import GENFUNC_KINDS, _ball_walk
 
 from _cases import (
     SHELL_POLYNOMIALS,
@@ -110,6 +111,25 @@ def test_shell_enumerate_content_and_order():
             points = shell_enumerate(n, d)
             assert len(points) == shell_size(n, d), (n, d)
             assert points == brute_shell(n, d), (n, d)
+
+
+def test_ball_walk_order_and_what_is_left():
+    # brute_ball filters itertools.product, which is lexicographic.
+    for n in range(0, 5):
+        for d in range(0, 6):
+            assert list(_ball_walk(n, d)) == [
+                (y, d - sum(map(abs, y))) for y in brute_ball(n, d)
+            ], (n, d)
+
+
+def test_shell_enumerate_beyond_the_recursion_limit():
+    # One coordinate per dimension would take a frame each; the walk keeps
+    # an explicit stack, so 1,200 dimensions need no frames.
+    assert sys.getrecursionlimit() < 1200
+    points = shell_enumerate(1200, 1)
+    units = [(0,) * i + (s,) + (0,) * (1199 - i) for i in range(1200) for s in (-1, 1)]
+    assert len(points) == 2400
+    assert points == sorted(units)
 
 
 def test_shell_enumerate_cap():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -265,6 +266,19 @@ def test_sublattice_repr_is_the_dataclass_repr(basis, text):
     pattern = SublatticePattern(basis)
     assert repr(pattern) == text
     assert eval(repr(pattern)) == pattern
+
+
+def test_lattice_receptions_beyond_the_recursion_limit():
+    # The histogram walks B_(n-1)(t-1) on an explicit stack, not one frame
+    # per coordinate, so the index-1 lattice of 1,100 dimensions is read.
+    n = 1100
+    assert sys.getrecursionlimit() < n
+    identity = SublatticePattern(
+        tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    )
+    assert lattice_receptions(Params(1, 1), identity) == {(0,) * n: 1}
+    # At t = 2 a point hears itself (2) and each of its 2n neighbours (1).
+    assert lattice_receptions(Params(2, 1), identity) == {(0,) * n: 2 + 2 * n}
 
 
 def test_lattice_receptions_match_tower():
