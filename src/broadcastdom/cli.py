@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -50,7 +51,7 @@ from .coverage_bounds import (
 from .graph_domination import (
     DEFAULT_NODE_BUDGET,
     FiniteGraph,
-    GraphExprError,
+    _check_size,
     _graph_atoms,
     gamma_exact,
     parse_graph_expr,
@@ -336,11 +337,12 @@ def _cmd_table3(args) -> int:
         raise ValueError("--tmax must be at least 1")
     cells = [(t, r) for t in range(1, args.tmax + 1) for r in range(1, t + 1)]
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    parallel = threads > 1 and len(cells) > 1
+    workers = min(threads, len(cells))
+    parallel = workers > 1
     if parallel:
         import multiprocessing
     results = []
-    with multiprocessing.Pool(processes=threads) if parallel else nullcontext() as pool:
+    with multiprocessing.Pool(processes=workers) if parallel else nullcontext() as pool:
         for cell in (pool.imap if parallel else map)(_table3_cell, cells):
             print(f"t={cell['t']} r={cell['r']} d={cell['d']}", file=sys.stderr)
             results.append(cell)
@@ -496,11 +498,12 @@ def _cmd_vizing_scan(args) -> int:
                     f"{args.pairs}:{lineno}: expected 'EXPR,EXPR', got {line!r}"
                 )
             pair = tuple(expr.strip() for expr in line.split(",", 1))
-            for expr in pair:  # every pair is read before the first search
-                try:
-                    _graph_atoms(expr)
-                except GraphExprError as exc:
-                    raise ValueError(f"{args.pairs}:{lineno}: {exc}") from None
+            # Every pair is read, and its product sized, before the first search.
+            try:
+                atoms = [atom for expr in pair for atom in _graph_atoms(expr)]
+                _check_size(math.prod(k for _, k in atoms))
+            except ValueError as exc:
+                raise ValueError(f"{args.pairs}:{lineno}: {exc}") from None
             pairs.append(pair)
     if not pairs:
         raise ValueError(f"{args.pairs}: no graph pairs found")

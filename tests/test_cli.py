@@ -67,6 +67,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_within(seconds, capsys, *argv):
+    # run, and fail if main took `seconds` or more.
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, (argv, elapsed)
+    return result
+
+
 def test_shell_text(capsys):
     code, out, _ = run(capsys, "shell", "2", "3")
     assert code == 0
@@ -95,12 +104,13 @@ def _digits_value(text: str) -> int:
 def test_counts_beyond_the_digit_limit(capsys):
     # B_6000(6000) has 4,592 digits and S_6000(6000) 4,591, above CPython's
     # default limit of 4,300 for converting an int to a string.
+    # A shell is the difference of two balls, so it prints within 10 s.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    for command, size, digits in (
-        ("ball", ball_size(6000, 6000), 4592),
-        ("shell", shell_size(6000, 6000), 4591),
+    for command, size, digits, seconds in (
+        ("ball", ball_size(6000, 6000), 4592, 60),
+        ("shell", shell_size(6000, 6000), 4591, 10),
     ):
-        code, out, err = run(capsys, command, "6000", "6000")
+        code, out, err = run_within(seconds, capsys, command, "6000", "6000")
         assert (code, err) == (0, "")
         assert len(out) == digits + 1 and _digits_value(out.strip()) == size
         code, out, err = run(capsys, command, "6000", "6000", "--format", "json",
@@ -238,6 +248,30 @@ def test_table3_parallel_equals_sequential(capsys):
     assert per_cpu == seq
 
 
+def test_table3_pool_is_no_larger_than_the_table(capsys, monkeypatch):
+    # A recording stand-in for the pool maps in this process: no worker starts.
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        imap = staticmethod(map)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    pooled = run(capsys, "table3", "--tmax", "2", "--threads", "1000")
+    assert sizes == [3]
+    assert pooled == run(capsys, "table3", "--tmax", "2", "--threads", "1")
+
+
 def test_table3_csv_rows(capsys):
     code, out, _ = run(capsys, "table3", "--tmax", "2", "--format", "csv")
     assert code == 0
@@ -329,11 +363,12 @@ def test_gamma_deep_search_exits_zero(capsys):
 def test_inputs_beyond_the_recursion_limit(capsys):
     # Each of these took one Python frame per dimension or parenthesis.
     assert sys.getrecursionlimit() <= 1000
-    code, out, _ = run(capsys, "shell", "1200", "1", "--enumerate", "--format", "csv")
+    code, out, _ = run_within(60, capsys, "shell", "1200", "1", "--enumerate",
+                              "--format", "csv")
     assert (code, len(out.splitlines())) == (0, 2401)
     deep = "(" * 1000 + "P2" + ")" * 1000
-    code, out, _ = run(capsys, "gamma", deep, "1", "1", "--format", "json",
-                       "--no-timestamp")
+    code, out, _ = run_within(60, capsys, "gamma", deep, "1", "1", "--format",
+                              "json", "--no-timestamp")
     assert (code, json.loads(out)["gamma"]) == (0, 2)
     n = 1100
     basis = ";".join(",".join(str(int(i == j)) for i in range(n)) for j in range(n))
@@ -371,7 +406,7 @@ def test_gamma_refuses_huge_graphs_before_building_them(capsys, expr, offset):
     # alone would take about 40 MB.
     tracemalloc.start()
     try:
-        code, out, err = run(capsys, "gamma", expr, "1", "1")
+        code, out, err = run_within(1, capsys, "gamma", expr, "1", "1")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -407,20 +442,19 @@ def test_verify_lemma2_failed_report(capsys, monkeypatch):
     assert (code, out) == (1, "t,r,n,status,gamma\n3,2,4,failed,3\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ("vizing-scan", "2", "1", "--pairs", "{pairs}"),
-    ("verify-torus", "1000", "2"),
-    ("verify-lemma2", "3000000", "1"),
+@pytest.mark.parametrize("argv, where", [
+    (("vizing-scan", "2", "1", "--pairs", "{pairs}"), "{pairs}:1: "),
+    (("verify-torus", "1000", "2"), ""),
+    (("verify-lemma2", "3000000", "1"), ""),
 ], ids=["vizing-scan", "verify-torus", "verify-lemma2"])
-def test_built_graphs_above_the_bound_exit_2(tmp_path, capsys, argv):
+def test_built_graphs_above_the_bound_exit_2(tmp_path, capsys, argv, where):
     # P1000 x P1001 has 1,001,000 vertices, C1998 x C1998 3,992,004 and the
     # cycle C_6000000 six million: each is refused before it is allocated.
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("P1000,P1001\n")
-    start = time.perf_counter()
-    result = run(capsys, *(arg.format(pairs=pairs) for arg in argv))
-    assert time.perf_counter() - start < 1
-    assert result == (2, "", "error: graph has more than 1000000 vertices\n")
+    result = run_within(1, capsys, *(arg.format(pairs=pairs) for arg in argv))
+    message = where.format(pairs=pairs) + "graph has more than 1000000 vertices"
+    assert result == (2, "", f"error: {message}\n")
 
 
 def test_verify_torus(capsys):
@@ -447,7 +481,7 @@ TORUS_PASSED = (
 ], ids=["both-capped", "cycle-capped", "uncapped"])
 def test_verify_torus_node_budget(capsys, budget, code, text, gammas, row):
     argv = ("verify-torus", "3", "2", "--node-budget", budget)
-    assert run(capsys, *argv) == (code, text, "")
+    assert run_within(30, capsys, *argv) == (code, text, "")
     status, out, _ = run(capsys, *argv, "--format", "json", "--no-timestamp")
     doc = json.loads(out)
     assert status == code
@@ -470,12 +504,14 @@ def test_vizing_scan_without_pairs_is_an_error(tmp_path, capsys, content):
     ("P2,Q3", "unexpected character 'Q' at offset 0"),
     ("( P2 ,P3", "expected ')' at offset 4"),
     ("P2, P\u00b2", "expected a number at offset 1"),
+    ("P1000,P1001", "graph has more than 1000000 vertices"),
 ])
 def test_vizing_scan_reads_every_pair_before_searching(
     tmp_path, capsys, monkeypatch, line, message
 ):
-    # The bad expression is on line 3, after a good pair: no search runs,
-    # and the error names the file and the line.
+    # The bad pair is on line 3, after a good pair: no search runs, and the
+    # error names the file and the line. Each side of P1000 x P1001 is
+    # below the vertex bound; their product is above it.
     pairs = tmp_path / "pairs.txt"
     pairs.write_text(f"P2,P3\n# a comment\n{line}\n")
     calls = []

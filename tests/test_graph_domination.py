@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -279,8 +280,11 @@ GAMMA_NODE_COUNTS = {
 
 
 def test_gamma_frozen_node_counts():
+    # Each search takes under 10 s, P8 x P8 at (2, 1) with its million nodes too.
     for (expr, t, r), (gamma, nodes) in GAMMA_NODE_COUNTS.items():
+        start = time.perf_counter()
         result = gamma_exact(parse_graph_expr(expr), Params(t, r))
+        assert time.perf_counter() - start < 10, (expr, t, r)
         assert result.status == "exact", (expr, t, r)
         assert (result.gamma, result.nodes) == (gamma, nodes), (expr, t, r)
 
