@@ -16,15 +16,18 @@ records, so a new record field reaches the json without an edit here. shell
 --enumerate, genfunc, bijection, tower-table and lattice-check write their own
 csv rows, because their csv lays the data out differently from their json;
 lower-bound and gamma write theirs to flatten dims and witness into one cell.
-The text block and the rows may be zero-argument callables, and `_emit` calls
-only the one the chosen format prints: the large bodies of tower-table,
-lattice-check, shell --enumerate and genfunc are built on demand. json comes
-from `_dumps`, which writes the bytes of `json.dumps(..., indent=2)` without
-the standard library's pure-Python encoder. `main` parses with one parser per
-process, builds `args.params` for every subcommand with an r, and sends every
-error through one handler. The worker pool of `table3 --threads` and the json
-timestamp import their standard-library modules on the path that uses them, so
-other commands do not pay for those imports at start-up.
+The payload, the text block and the rows may each be a zero-argument callable,
+and `_emit` calls only what the chosen format prints, so the large reports of
+tower-table, lattice-check, shell --enumerate and genfunc build one body each.
+Payloads hold the library's own tuples, which json writes as arrays. A json or
+text body is built before --output is opened and then written straight to it;
+csv rows stream onto it through `csv.writer`. json comes from `_dumps`, which
+writes the bytes of `json.dumps(..., indent=2)` without the standard library's
+pure-Python encoder. `main` parses with one parser per process, builds
+`args.params` for every subcommand with an r, and sends every error through
+one handler. The worker pool of `table3 --threads` and the json timestamp
+import their standard-library modules on the path that uses them, so other
+commands do not pay for those imports at start-up.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from io import StringIO
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -125,43 +127,45 @@ def _dumps(obj, pad: str = "\n") -> str:
     return json.dumps(obj)
 
 
-def _emit(args, payload: dict, text, columns=None, rows=None, code=EXIT_OK) -> int:
+def _emit(args, payload, text, columns=None, rows=None, code=EXIT_OK) -> int:
     """Write the report in the chosen format to stdout or --output; return code.
 
     json is the payload under the subcommand name; csv is the `columns`
-    header, by default the payload's keys, over `rows`, which default to the
-    payload's own values of those columns as one row. `text` and `rows` may
-    be zero-argument callables, called only when their format is the one
-    chosen.
+    header, by default the payload's keys, over `rows`, any iterable of rows,
+    which default to the payload's own values of those columns as one row.
+    `payload`, `text` and `rows` may each be a zero-argument callable; only
+    those the chosen format reads are called. A json or text body is built
+    before --output is opened, then written straight to the destination;
+    csv rows stream onto it.
     """
-    if args.format == "json":
-        envelope = {"command": args.command, **payload}
+    build = lambda body: body() if callable(body) else body
+    if args.format == "csv":
+        import csv
+
+        rows = build(rows)
+        if columns is None or rows is None:
+            payload = build(payload)
+            columns = list(payload) if columns is None else columns
+            rows = [[payload[col] for col in columns]] if rows is None else rows
+    elif args.format == "json":
+        body = {"command": args.command, **build(payload)}
         if not args.no_timestamp:
             from datetime import datetime, timezone
 
-            envelope["generated_at"] = datetime.now(timezone.utc).isoformat()
-        body = _dumps(envelope) + "\n"
-    elif args.format == "csv":
-        import csv as _csv
-
-        if callable(rows):
-            rows = rows()
-        if columns is None:
-            columns = list(payload)
-        buf = StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([[payload[col] for col in columns]] if rows is None else rows)
-        body = buf.getvalue()
+            body["generated_at"] = datetime.now(timezone.utc).isoformat()
+        body, end = _dumps(body), "\n"
     else:
-        if callable(text):
-            text = text()
-        body = text if text.endswith("\n") else text + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        body = build(text)
+        end = "" if body.endswith("\n") else "\n"
+    dest = open(args.output, "w", encoding="utf-8") if args.output else None
+    with dest or nullcontext(sys.stdout) as fh:
+        if args.format == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
+        else:
             fh.write(body)
-    else:
-        sys.stdout.write(body)
+            fh.write(end)
     return code
 
 
@@ -183,25 +187,23 @@ def _cmd_shell(args) -> int:
         return _count("size", shell_size)(args)
     points = shell_enumerate(args.n, args.d, cap=args.cap)
     size = str(len(points))
-    payload: dict = {"n": args.n, "d": args.d, "size": size}
-    columns = [*payload, "point"]
-    payload["points"] = [list(p) for p in points]
-    rows = lambda: [[args.n, args.d, size, _point_str(p)] for p in points]
+    payload = lambda: {"n": args.n, "d": args.d, "size": size, "points": points}
+    rows = ([args.n, args.d, size, _point_str(p)] for p in points)
     text = lambda: "\n".join(_point_str(p) for p in points) or "(no points)"
-    return _emit(args, payload, text, columns, rows)
+    return _emit(args, payload, text, ["n", "d", "size", "point"], rows)
 
 
 def _cmd_genfunc(args) -> int:
     coeffs = genfunc_coefficients(args.kind, args.max_index, fixed=args.fixed)
-    payload: dict = {"kind": args.kind, "max_index": args.max_index}
+    head: dict = {"kind": args.kind, "max_index": args.max_index}
     if args.fixed is not None:
-        payload["fixed"] = args.fixed
+        head["fixed"] = args.fixed
     if args.kind in ("B_bivariate", "S_bivariate"):
-        payload["coefficients"] = [[str(c) for c in row] for row in coeffs]
+        coefficients = lambda: [[str(c) for c in row] for row in coeffs]
         header = ["i", "j", "coefficient"]
-        rows = lambda: [
+        rows = (
             [i, j, str(c)] for i, row in enumerate(coeffs) for j, c in enumerate(row)
-        ]
+        )
 
         def text() -> str:
             width = max(len(str(c)) for row in coeffs for c in row)
@@ -209,10 +211,11 @@ def _cmd_genfunc(args) -> int:
                 " ".join(str(c).rjust(width) for c in row) for row in coeffs
             )
     else:
-        payload["coefficients"] = [str(c) for c in coeffs]
+        coefficients = lambda: [str(c) for c in coeffs]
         header = ["index", "coefficient"]
-        rows = lambda: [[i, str(c)] for i, c in enumerate(coeffs)]
+        rows = ([i, str(c)] for i, c in enumerate(coeffs))
         text = lambda: " ".join(str(c) for c in coeffs)
+    payload = lambda: {**head, "coefficients": coefficients()}
     return _emit(args, payload, text, header, rows)
 
 
@@ -225,11 +228,11 @@ def _cmd_bijection(args) -> int:
         for s in encoding.tuples
     )
     payload = {
-        "point": list(point),
+        "point": point,
         "n": args.n,
         "d": args.d,
         "encoding": enc_str,
-        "image": list(image),
+        "image": image,
     }
     text = f"{_point_str(point)} -> {_point_str(image)}"
     return _emit(
@@ -257,12 +260,12 @@ def _cmd_lower_bound(args) -> int:
     cov = coverage(grid.n, args.params)
     bound = domination_lower_bound(grid, args.params)
     payload = {
-        "dims": list(grid.dims), "t": args.t, "r": args.r,
+        "dims": grid.dims, "t": args.t, "r": args.r,
         "volume": str(grid.volume), "coverage": str(cov),
         "lower_bound": str(bound),
     }
     flat = {**payload, "dims": "x".join(map(str, grid.dims))}
-    return _emit(args, payload, str(bound), rows=[list(flat.values())])
+    return _emit(args, payload, str(bound), rows=[flat.values()])
 
 
 def _cmd_tower_check(args) -> int:
@@ -303,16 +306,14 @@ def _cmd_tower_table(args) -> int:
     pattern = TowerPattern(args.d, args.e)
     profile = reception_table(args.params, pattern)
     dominating = min(profile.receptions) >= args.r
-    payload = {
+    payload = lambda: {
         "t": args.t, "r": args.r, "pattern": str(pattern),
-        "rows": [{"y": y, "contributions": list(vec)} for y, vec in profile.rows],
-        "receptions": list(profile.receptions),
+        "rows": [{"y": y, "contributions": vec} for y, vec in profile.rows],
+        "receptions": profile.receptions,
         "dominating": dominating,
     }
     header = ["y"] + [str(i) for i in range(args.d)]
-    rows = lambda: [
-        [y, *vec] for y, vec in (*profile.rows, ("Sum", profile.receptions))
-    ]
+    rows = ([y, *vec] for y, vec in (*profile.rows, ("Sum", profile.receptions)))
     return _emit(args, payload, lambda: _table_text(profile), header, rows)
 
 
@@ -333,6 +334,8 @@ def _table3_cell(cell: tuple[int, int]) -> dict[str, int]:
 
 
 def _cmd_table3(args) -> int:
+    if args.threads < 0:
+        raise ValueError("--threads must be nonnegative")
     if args.tmax < 1:
         raise ValueError("--tmax must be at least 1")
     cells = [(t, r) for t in range(1, args.tmax + 1) for r in range(1, t + 1)]
@@ -355,7 +358,7 @@ def _cmd_table3(args) -> int:
             lines.append(str(cell["t"]).ljust(4))
         lines[-1] += str(cell["d"]).rjust(width)
     payload = {"t_max": args.tmax, "cells": results}
-    rows = [list(cell.values()) for cell in results]
+    rows = (cell.values() for cell in results)
     return _emit(args, payload, "\n".join(lines), list(results[0]), rows)
 
 
@@ -364,18 +367,17 @@ def _cmd_lattice_check(args) -> int:
     receptions = lattice_receptions(args.params, pattern, args.index_cap)
     # A coset that no offset reaches reads 0 < r.
     dominating = all(v >= args.r for v in receptions.values())
-    payload = {
+    payload = lambda: {
         "t": args.t, "r": args.r,
-        "basis": [list(col) for col in pattern.basis],
+        "basis": pattern.basis,
         "pattern": str(pattern),
         "index": pattern.index,
         "dominating": dominating,
         "receptions": [
-            {"coset": list(rep), "reception": val}
-            for rep, val in receptions.items()
+            {"coset": rep, "reception": val} for rep, val in receptions.items()
         ],
     }
-    rows = lambda: [[_point_str(rep), val] for rep, val in receptions.items()]
+    rows = ([_point_str(rep), val] for rep, val in receptions.items())
     verdict = "dominates" if dominating else "does not dominate"
     text = lambda: "\n".join([
         f"{pattern} (index {pattern.index}) {verdict} under ({args.t},{args.r})",
@@ -390,7 +392,7 @@ def _cmd_lattice_search3d(args) -> int:
     payload = {
         "t": args.t, "r": args.r, "index_cap": args.cap,
         "pattern": str(pattern),
-        "basis": [list(col) for col in pattern.basis],
+        "basis": pattern.basis,
         "d": pattern.basis[0][0],
         "e1": pattern.basis[1][0],
         "e2": pattern.basis[2][0],
@@ -425,15 +427,14 @@ def _cmd_gamma(args) -> int:
     payload = {"expr": args.expr, "t": args.t, "r": args.r, **vars(result)}
     exact = result.status == "exact"
     if exact:
-        lines = [
-            f"gamma({args.expr}, t={args.t}, r={args.r}) = {result.gamma}",
-            "witness: " + " ".join(map(str, result.witness)),
-        ]
-        receptions = reception_map(graph, result.witness, args.t)
-        grid = _grid_text(graph, receptions, result.witness)
-        if grid is not None:
-            lines.append(grid)
-        text = "\n".join(lines)
+        def text() -> str:
+            receptions = reception_map(graph, result.witness, args.t)
+            grid = _grid_text(graph, receptions, result.witness)
+            return "\n".join([
+                f"gamma({args.expr}, t={args.t}, r={args.r}) = {result.gamma}",
+                "witness: " + " ".join(map(str, result.witness)),
+                *([] if grid is None else [grid]),
+            ])
     else:
         text = (
             f"cap exceeded after {result.nodes} nodes; "
@@ -441,7 +442,7 @@ def _cmd_gamma(args) -> int:
         )
     flat = {**payload, "witness": " ".join(map(str, result.witness or ()))}
     code = EXIT_OK if exact else EXIT_ERROR
-    return _emit(args, payload, text, rows=[list(flat.values())], code=code)
+    return _emit(args, payload, text, rows=[flat.values()], code=code)
 
 
 def _cmd_verify_lemma2(args) -> int:
@@ -508,9 +509,11 @@ def _cmd_vizing_scan(args) -> int:
     if not pairs:
         raise ValueError(f"{args.pairs}: no graph pairs found")
     reports = vizing_scan(pairs, args.params, node_budget=args.node_budget)
-    # Each pair: g and h, then the record's fields after expr_g, expr_h, t, r.
+    # Each pair: g and h, then the record's fields other than these four.
+    skip = ("expr_g", "expr_h", "t", "r")
     records = [
-        {"g": rep.expr_g, "h": rep.expr_h, **dict(list(vars(rep).items())[4:])}
+        {"g": rep.expr_g, "h": rep.expr_h,
+         **{key: value for key, value in vars(rep).items() if key not in skip}}
         for rep in reports
     ]
     payload = {"t": args.t, "r": args.r, "pairs": records}
@@ -526,7 +529,7 @@ def _cmd_vizing_scan(args) -> int:
             f"halved(H,G)={'holds' if rep.halved_product_holds_hg else 'FAILS'} "
             f"distance={'holds' if rep.distance_product_holds else 'FAILS'}"
         )
-    rows = [list(record.values()) for record in records]
+    rows = (record.values() for record in records)
     holds = all(
         rep.halved_product_holds_gh and rep.halved_product_holds_hg
         and rep.distance_product_holds for rep in reports
@@ -544,10 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--output", default=None, help="write output to a file instead of stdout"
-    )
-    common.add_argument(
-        "--threads", type=int, default=1,
-        help="worker processes for long searches; 0 = one per CPU (default: 1)",
     )
     common.add_argument(
         "--no-timestamp", action="store_true",
@@ -615,6 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("table3", _cmd_table3,
                 "minimum tower densities for all 1 <= r <= t <= tmax")
     p.add_argument("--tmax", type=int, default=9)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes; 0 = one per CPU (default: 1)")
 
     p = command("lattice-check", _cmd_lattice_check,
                 "verify whether a sublattice pattern dominates under (t,r)", "t r")
@@ -665,8 +666,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
     limit = getattr(sys, "get_int_max_str_digits", int)()
     try:
-        if args.threads < 0:
-            raise ValueError("--threads must be nonnegative")
         if hasattr(args, "r"):
             args.params = Params(args.t, args.r)
         set_digits(0)

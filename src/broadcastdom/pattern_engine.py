@@ -229,23 +229,18 @@ def hermite_normal_form(
             if not nonzero:
                 raise ValueError("basis is singular")
             pivot = min(nonzero, key=lambda j: abs(cols[j][i]))
-            if pivot != i:
-                cols[pivot], cols[i] = cols[i], cols[pivot]
-            done = True
-            for j in range(i):
-                if cols[j][i] != 0:
-                    q = cols[j][i] // cols[i][i]
-                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
-                    if cols[j][i] != 0:
-                        done = False
-            if done:
+            cols[pivot], cols[i] = cols[i], cols[pivot]
+            if len(nonzero) == 1:
                 break
+            for j in range(i):
+                q = cols[j][i] // cols[i][i]
+                if q:
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
         if cols[i][i] < 0:
             cols[i] = [-a for a in cols[i]]
-        for j in range(i + 1, n):
-            q = cols[j][i] // cols[i][i]
-            if q:
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
+    # Upper triangular now: reduce each column's entries above the diagonal.
+    for j in range(n):
+        cols[j][:j] = _reduce(cols, cols[j][:j])
     return tuple(tuple(c) for c in cols)
 
 

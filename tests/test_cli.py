@@ -672,6 +672,41 @@ def test_json_and_csv_skip_the_text_table(capsys, monkeypatch):
         assert code == 0 and out
 
 
+@pytest.mark.parametrize("argv", [
+    ["tower-table", "4", "2", "18", "5"],
+    ["lattice-check", "2", "1", "--basis", "6,0;2,1"],
+])
+def test_csv_and_text_never_build_the_json_payload(capsys, monkeypatch, argv):
+    # The large reports hand _emit their payload as a callable, and only
+    # json calls it.
+    expected = {fmt: run(capsys, *argv, "--format", fmt) for fmt in ("csv", "text")}
+    emit = cli._emit
+
+    def spy(args, payload, *rest, **kwargs):
+        assert callable(payload)
+
+        def refuse():
+            raise AssertionError("json payload built for a csv or text report")
+        return emit(args, refuse, *rest, **kwargs)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    for fmt, report in expected.items():
+        assert run(capsys, *argv, "--format", fmt) == report
+
+
+def test_report_out_of_memory_leaves_no_output_file(tmp_path, capsys, monkeypatch):
+    # The body is built before --output is opened.
+    def exhausted(profile):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_table_text", exhausted)
+    target = tmp_path / "table.txt"
+    code, out, err = run(capsys, "tower-table", "4", "2", "18", "5",
+                         "--output", str(target))
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+    assert not target.exists()
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "broadcastdom", "shell", "2", "3"],

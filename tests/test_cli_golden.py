@@ -63,13 +63,13 @@ REPORTS = [
 
 ERRORS = [
     ["shell", "3", "3", "--enumerate", "--cap", "10"],
-    ["shell", "2", "3", "--threads", "-1"],
     ["genfunc", "B_fixed_n", "--max", "4"],
     ["bijection", "--point", "1,a", "--n", "2", "--d", "2"],
     ["coverage", "2", "2", "4"],
     ["tower-check", "4", "2", "1000001", "5"],
     ["tower-table", "4", "2", "1000001", "5"],
     ["table3", "--tmax", "0"],
+    ["table3", "--tmax", "3", "--threads", "-1"],
     ["lattice-check", "4", "2", "--basis", "18,0;5,1", "--index-cap", "17"],
     ["lattice-check", "2", "1", "--basis", "2,4;1,2"],
     ["lattice-check", "2", "1", "--basis", "1,x"],
@@ -85,6 +85,7 @@ USAGE_ERRORS = [
     ["shell", "2"],
     ["shell", "2", "x"],
     ["shell", "2", "3", "--format", "xml"],
+    ["shell", "2", "3", "--threads", "-1"],
     ["genfunc", "nope", "--max", "4"],
 ]
 

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -214,6 +216,68 @@ def test_hermite_normal_form():
     assert hermite_normal_form(((23, 1), (5, 1))) == tower
     assert hermite_normal_form(((-18, 0), (5, 1))) == tower
     assert hermite_normal_form(((18, 0), (23, 1))) == tower
+
+
+@PROPERTY
+@given(st.sampled_from([3, 4]), st.data())
+def test_hermite_normal_form_undoes_unimodular_mixing(n, data):
+    # Swapping two columns, negating one and adding k times one to another
+    # keep the lattice, so any sequence of them leads back to the same basis.
+    diag = [data.draw(st.integers(1, 9), label="diagonal") for _ in range(n)]
+    basis = tuple(
+        tuple([data.draw(st.integers(0, diag[i] - 1)) for i in range(j)]
+              + [diag[j]] + [0] * (n - 1 - j))
+        for j in range(n)
+    )
+    step = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+    cols = [list(c) for c in basis]
+    for a, b, k in data.draw(st.lists(step, max_size=24), label="steps"):
+        if a == b:
+            cols[a] = [-x for x in cols[a]]
+        elif k == 0:
+            cols[a], cols[b] = cols[b], cols[a]
+        else:
+            cols[b] = [y + k * x for x, y in zip(cols[a], cols[b])]
+    assert hermite_normal_form(cols) == basis
+
+
+def _det(rows) -> int:
+    # Bareiss elimination: exact integer determinant.
+    m, sign, prev = [list(row) for row in rows], 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def test_hermite_normal_form_of_a_dense_basis_is_fast():
+    # The least nonzero entry pivots each row. Folding each column into the
+    # next by pairwise Euclid instead lets the entries blow up: a dense 30x30
+    # basis then takes more than 20 s.
+    rng = random.Random(40)
+    cols = [[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)]
+    start = time.perf_counter()
+    basis = hermite_normal_form(cols)
+    assert time.perf_counter() - start < 1
+    for j, col in enumerate(basis):
+        assert col[j] > 0
+        assert all(0 <= col[i] < basis[i][i] for i in range(j))
+        assert not any(col[j + 1:])
+    # Every input column lies on the lattice, and both bases span volume |det|.
+    for col in cols:
+        residue = list(col)
+        for i in range(39, -1, -1):
+            q, rem = divmod(residue[i], basis[i][i])
+            assert rem == 0
+            residue = [a - q * b for a, b in zip(residue, basis[i])]
+    assert math.prod(basis[i][i] for i in range(40)) == abs(_det(cols))
 
 
 def test_hermite_normal_form_rejects_bad_input():

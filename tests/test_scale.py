@@ -12,10 +12,10 @@ import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,42 +24,53 @@ import pytest
 SRC_DIR = Path(__file__).parent.parent / "src"
 
 
+# On Linux a child's ru_maxrss starts at the high-water mark of the process
+# that forked it, which here would be the whole test session. So a fresh
+# interpreter forks the command, reaps it with os.wait4 and writes its peak
+# to the file descriptor named by its first argument.
+LAUNCHER = """\
+import os, sys
+pid = os.fork()
+if not pid:
+    os.execv(sys.executable, [sys.executable, "-m", "broadcastdom", *sys.argv[2:]])
+_, status, usage = os.wait4(pid, 0)
+os.write(int(sys.argv[1]), str(usage.ru_maxrss).encode())
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 def run_module(argv, timeout, address_space_kb=None):
     """Run `python -m broadcastdom *argv` within `timeout` seconds.
 
-    The child is reaped with os.wait4, so peak_mb is its own peak resident
-    memory; RUSAGE_CHILDREN would give the largest of every child so far.
+    peak_mb is the command's own peak resident memory, as LAUNCHER reads it.
     Its output goes to files, so no pipe fills while the child is awaited.
     """
     def limit():
         size = address_space_kb * 1024
         resource.setrlimit(resource.RLIMIT_AS, (size, size))
 
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err, \
+            tempfile.TemporaryFile() as peak:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "broadcastdom", *argv],
-            stdout=out, stderr=err,
+            [sys.executable, "-c", LAUNCHER, str(peak.fileno()), *argv],
+            stdout=out, stderr=err, pass_fds=(peak.fileno(),),
             env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
             preexec_fn=limit if address_space_kb else None,
+            start_new_session=True,
         )
-        deadline = time.monotonic() + timeout
-        while True:
-            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
-            if pid:
-                break
-            if time.monotonic() > deadline:
-                proc.kill()
-                proc.wait()
-                pytest.fail(f"{argv} ran for more than {timeout} s")
-            time.sleep(0.01)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        out.seek(0)
-        err.seek(0)
+        try:
+            proc.wait(timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the launcher and the command
+            proc.wait()
+            pytest.fail(f"{argv} ran for more than {timeout} s")
+        for stream in (out, err, peak):
+            stream.seek(0)
         return SimpleNamespace(
             code=proc.returncode,
             out=out.read().decode(),
             err=err.read().decode(),
-            peak_mb=usage.ru_maxrss / 1024,
+            peak_mb=int(peak.read()) / 1024,
         )
 
 
@@ -76,6 +87,24 @@ def totals_without_a_row_table(child):
     # A million cosets: the totals are read without a row table.
     assert child.out.splitlines()[1] == "30,10,1000000,5,False,0"
     assert child.peak_mb < 400
+
+
+def cosets_under(bound_mb, first, last):
+    # 250,000 cosets, one line each: the report is written from the library's
+    # reception dict, with no json payload built beside it.
+    def check(child):
+        lines = child.out.splitlines()
+        assert (len(lines), lines[:2], lines[-1]) == (250_001, first, last)
+        assert child.peak_mb < bound_mb
+    return check
+
+
+def tower_rows_under_80_mb(child):
+    # 2t - 1 = 59 rows and the sum row over a header of 50,000 columns.
+    lines = child.out.splitlines()
+    assert len(lines) == 61 and lines[-1].startswith("Sum,150,150,150,")
+    assert all(line.count(",") == 50_000 for line in lines)
+    assert child.peak_mb < 80
 
 
 TABLE3_T18 = {(18, 1): (613, 35), (18, 9): (372, 100), (18, 18): (205, 85)}
@@ -112,6 +141,25 @@ def indented_json(child):
     pytest.param(
         ["tower-check", "30", "10", "1000000", "5", "--format", "csv"],
         60, 1, totals_without_a_row_table, None, id="tower-check-memory",
+    ),
+    pytest.param(
+        ["lattice-check", "3", "1", "--basis", "500,0,0;0,500,0;0,0,1",
+         "--format", "csv"],
+        10, 1, cosets_under(100, ["coset,reception", '"(0, 0, 0)",9'],
+                            '"(499, 499, 0)",1'),
+        None, id="lattice-check-csv-memory",
+    ),
+    pytest.param(
+        ["lattice-check", "3", "1", "--basis", "500,0,0;0,500,0;0,0,1"],
+        10, 1, cosets_under(100, [
+            "L(500,0,0; 0,500,0; 0,0,1) (index 250000) does not dominate under (3,1)",
+            "(0, 0, 0): 9",
+        ], "(499, 499, 0): 1"),
+        None, id="lattice-check-text-memory",
+    ),
+    pytest.param(
+        ["tower-table", "30", "10", "50000", "5", "--format", "csv"],
+        10, 0, tower_rows_under_80_mb, None, id="tower-table-csv-memory",
     ),
     pytest.param(
         ["table3", "--tmax", "18", "--format", "json", "--no-timestamp"],
