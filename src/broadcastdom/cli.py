@@ -21,13 +21,14 @@ and `_emit` calls only what the chosen format prints, so the large reports of
 tower-table, lattice-check, shell --enumerate and genfunc build one body each.
 Payloads hold the library's own tuples, which json writes as arrays. A json or
 text body is built before --output is opened and then written straight to it;
-csv rows stream onto it through `csv.writer`. json comes from `_dumps`, which
-writes the bytes of `json.dumps(..., indent=2)` without the standard library's
-pure-Python encoder. `main` parses with one parser per process, builds
-`args.params` for every subcommand with an r, and sends every error through
-one handler. The worker pool of `table3 --threads` and the json timestamp
-import their standard-library modules on the path that uses them, so other
-commands do not pay for those imports at start-up.
+csv rows stream onto it through `csv.writer`. json comes from `_dumps`, one
+loop with no recursion that builds the bytes of `json.dumps(..., indent=2)` as
+a list of chunks, without the standard library's pure-Python encoder. `main`
+parses with one parser per process, builds `args.params` for every subcommand
+with an r, and sends every error through one handler. The worker pool of
+`table3 --threads` and the json timestamp import their standard-library
+modules on the path that uses them, so other commands do not pay for those
+imports at start-up.
 """
 
 from __future__ import annotations
@@ -103,28 +104,57 @@ def _parse_basis(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(cols)
 
 
-def _dumps(obj, pad: str = "\n") -> str:
-    """The bytes of json.dumps(obj, indent=2), with `pad` opening each line.
+_CHUNK = 4096  # pieces joined into each chunk of a json body
 
-    With an indent, the standard library falls back to its pure-Python
-    encoder. Here containers are joined directly and lists of plain ints
-    (not bools) in one join; every other scalar still goes through
-    json.dumps. Dict keys must be str.
+
+def _dumps(obj) -> list[str]:
+    """The text of json.dumps(obj, indent=2), as a list of chunks.
+
+    The standard library's indented encoder is pure Python and recursive.
+    Here one loop keeps a stack of open containers (items, pad, closing
+    text), appends each piece once and joins every _CHUNK pieces into a
+    chunk. A list of plain ints (not bools) is one % format, ints and strs
+    are written directly, and other scalars go through json.dumps. Dict keys
+    must be str.
     """
-    inner = pad + "  "
-    if isinstance(obj, dict) and obj:
-        items = (
-            encode_basestring_ascii(key) + ": " + _dumps(value, inner)
-            for key, value in obj.items()
-        )
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        if all(type(x) is int for x in obj):
-            items = map(int.__repr__, obj)
+    chunks, parts, stack, pad = [], [], [], "\n"
+    while True:
+        if len(parts) > _CHUNK:
+            chunks.append("".join(parts))
+            parts.clear()
+        sep = ","
+        if type(obj) is int:
+            parts.append(int.__repr__(obj))
+        elif type(obj) is str:
+            parts.append(encode_basestring_ascii(obj))
+        elif not obj or not isinstance(obj, (dict, list, tuple)):
+            parts.append(json.dumps(obj))
+        elif isinstance(obj, dict):
+            stack.append((iter(obj.items()), pad + "  ", pad + "}"))
+            sep = "{"
+        elif set(map(type, obj)) == {int}:
+            inner = pad + "  "
+            row = "[" + inner + ("%d," + inner) * (len(obj) - 1) + "%d" + pad + "]"
+            parts.append(row % tuple(obj))
         else:
-            items = (_dumps(x, inner) for x in obj)
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return json.dumps(obj)
+            stack.append((iter(obj), pad + "  ", pad + "]"))
+            sep = "["
+        # Close the containers this value finished, then open the next item.
+        while stack:
+            items, pad, close = stack[-1]
+            obj = next(items, stack)  # the stack marks the end of the items
+            if obj is not stack:
+                break
+            parts.append(close)
+            stack.pop()
+        else:
+            chunks.append("".join(parts))
+            return chunks
+        if close[-1] == "}":
+            key, obj = obj
+            parts.append(sep + pad + encode_basestring_ascii(key) + ": ")
+        else:
+            parts.append(sep + pad)
 
 
 def _emit(args, payload, text, columns=None, rows=None, code=EXIT_OK) -> int:
@@ -134,9 +164,9 @@ def _emit(args, payload, text, columns=None, rows=None, code=EXIT_OK) -> int:
     header, by default the payload's keys, over `rows`, any iterable of rows,
     which default to the payload's own values of those columns as one row.
     `payload`, `text` and `rows` may each be a zero-argument callable; only
-    those the chosen format reads are called. A json or text body is built
-    before --output is opened, then written straight to the destination;
-    csv rows stream onto it.
+    those the chosen format reads are called. A json body (a list of chunks)
+    or a text body is built before --output is opened, then written to the
+    destination with writelines; csv rows stream onto it.
     """
     build = lambda body: body() if callable(body) else body
     if args.format == "csv":
@@ -153,10 +183,10 @@ def _emit(args, payload, text, columns=None, rows=None, code=EXIT_OK) -> int:
             from datetime import datetime, timezone
 
             body["generated_at"] = datetime.now(timezone.utc).isoformat()
-        body, end = _dumps(body), "\n"
+        body = [*_dumps(body), "\n"]
     else:
         body = build(text)
-        end = "" if body.endswith("\n") else "\n"
+        body = [body] if body.endswith("\n") else [body, "\n"]
     dest = open(args.output, "w", encoding="utf-8") if args.output else None
     with dest or nullcontext(sys.stdout) as fh:
         if args.format == "csv":
@@ -164,8 +194,7 @@ def _emit(args, payload, text, columns=None, rows=None, code=EXIT_OK) -> int:
             writer.writerow(columns)
             writer.writerows(rows)
         else:
-            fh.write(body)
-            fh.write(end)
+            fh.writelines(body)
     return code
 
 

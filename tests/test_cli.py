@@ -17,6 +17,7 @@ import time
 import tracemalloc
 from datetime import datetime
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -653,7 +654,12 @@ JSON_VALUES = st.recursive(
 @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300])
 @example({"\u00e9\"\n\x00": "\ud800\u2028", "": None})
 def test_dumps_matches_indented_json(value):
-    assert cli._dumps(value) == json.dumps(value, indent=2)
+    # Chunk sizes of 0, 1 and 3 pieces put a chunk boundary at every place
+    # the writer can flush.
+    expected = json.dumps(value, indent=2)
+    for chunk in (0, 1, 3, cli._CHUNK):
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            assert "".join(cli._dumps(value)) == expected
 
 
 def test_main_reuses_one_parser():
@@ -735,10 +741,9 @@ def test_cli_import_skips_unused_stdlib_modules():
         assert name not in loaded, name
 
 
-def test_only_dumps_calls_itself():
+def test_no_function_calls_itself():
     # Recursion depth would bound the input, so no function of the library
-    # reaches itself through calls, except _dumps, whose depth is that of
-    # the payload the CLI builds. Calls resolve by name, which can only
+    # reaches itself through calls. Calls resolve by name, which can only
     # over-report; super().__init__ is the parent's method, not a cycle.
     import ast
 
@@ -768,4 +773,17 @@ def test_only_dumps_calls_itself():
                 todo.append(callee)
         if start in seen:
             recursive.add(start)
-    assert recursive == {"_dumps"}
+    assert recursive == set()
+    # json nested past the recursion limit, which the standard library's
+    # indented encoder needs raised.
+    deep = [1, True]
+    for _ in range(1500):
+        deep = [deep]
+    limit = sys.getrecursionlimit()
+    assert limit < 1500
+    sys.setrecursionlimit(10_000)
+    try:
+        expected = json.dumps(deep, indent=2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "".join(cli._dumps(deep)) == expected

@@ -99,6 +99,21 @@ def cosets_under(bound_mb, first, last):
     return check
 
 
+def json_cosets_under_135_mb(child):
+    # The same 250,000 cosets as indented json, eight lines each. The body is
+    # written as chunks, never joined into one string.
+    lines = child.out.splitlines()
+    assert (len(lines), lines[0], lines[-1]) == (2_000_027, "{", "}")
+    assert lines[22:25] == [
+        '  "index": 250000,', '  "dominating": false,', '  "receptions": [',
+    ]
+    assert lines[-10:-2] == [
+        "    {", '      "coset": [', "        499,", "        499,", "        0",
+        "      ],", '      "reception": 1', "    }",
+    ]
+    assert child.peak_mb < 135
+
+
 def tower_rows_under_80_mb(child):
     # 2t - 1 = 59 rows and the sum row over a header of 50,000 columns.
     lines = child.out.splitlines()
@@ -156,6 +171,11 @@ def indented_json(child):
             "(0, 0, 0): 9",
         ], "(499, 499, 0): 1"),
         None, id="lattice-check-text-memory",
+    ),
+    pytest.param(
+        ["lattice-check", "3", "1", "--basis", "500,0,0;0,500,0;0,0,1",
+         "--format", "json", "--no-timestamp"],
+        30, 1, json_cosets_under_135_mb, None, id="lattice-check-json-memory",
     ),
     pytest.param(
         ["tower-table", "30", "10", "50000", "5", "--format", "csv"],
