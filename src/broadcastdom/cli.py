@@ -19,16 +19,17 @@ lower-bound and gamma write theirs to flatten dims and witness into one cell.
 The payload, the text block and the rows may each be a zero-argument callable,
 and `_emit` calls only what the chosen format prints, so the large reports of
 tower-table, lattice-check, shell --enumerate and genfunc build one body each.
-Payloads hold the library's own tuples, which json writes as arrays. A json or
-text body is built before --output is opened and then written straight to it;
-csv rows stream onto it through `csv.writer`. json comes from `_dumps`, one
-loop with no recursion that builds the bytes of `json.dumps(..., indent=2)` as
-a list of chunks, without the standard library's pure-Python encoder. `main`
-parses with one parser per process, builds `args.params` for every subcommand
-with an r, and sends every error through one handler. The worker pool of
-`table3 --threads` and the json timestamp import their standard-library
-modules on the path that uses them, so other commands do not pay for those
-imports at start-up.
+Payloads hold the library's own tuples, which json writes as arrays. A json
+body is a list of chunks and a text body one string, or a list of lines for
+tower-table and lattice-check; either is built before --output is opened and
+then written straight to it; csv rows stream onto it through `csv.writer`.
+json comes from `_dumps`, one loop with no recursion that builds the bytes of
+`json.dumps(..., indent=2)` as a list of chunks, without the standard
+library's pure-Python encoder. `main` parses with one parser per process,
+builds `args.params` for every subcommand with an r, and sends every error
+through one handler. The worker pool of `table3 --threads` and the json
+timestamp import their standard-library modules on the path that uses them,
+so other commands do not pay for those imports at start-up.
 """
 
 from __future__ import annotations
@@ -164,7 +165,8 @@ def _emit(args, payload, text, columns=None, rows=None, code=EXIT_OK) -> int:
     header, by default the payload's keys, over `rows`, any iterable of rows,
     which default to the payload's own values of those columns as one row.
     `payload`, `text` and `rows` may each be a zero-argument callable; only
-    those the chosen format reads are called. A json body (a list of chunks)
+    those the chosen format reads are called. A text body is one str or a
+    list of lines, each ending in a newline. A json body (a list of chunks)
     or a text body is built before --output is opened, then written to the
     destination with writelines; csv rows stream onto it.
     """
@@ -186,7 +188,8 @@ def _emit(args, payload, text, columns=None, rows=None, code=EXIT_OK) -> int:
         body = [*_dumps(body), "\n"]
     else:
         body = build(text)
-        body = [body] if body.endswith("\n") else [body, "\n"]
+        if isinstance(body, str):
+            body = [body] if body.endswith("\n") else [body, "\n"]
     dest = open(args.output, "w", encoding="utf-8") if args.output else None
     with dest or nullcontext(sys.stdout) as fh:
         if args.format == "csv":
@@ -316,7 +319,7 @@ def _cmd_tower_check(args) -> int:
     return _emit(args, payload, text, columns, code=code)
 
 
-def _table_text(profile) -> str:
+def _table_text(profile) -> list[str]:
     width = max(
         2,
         max(len(str(v)) for _, vec in profile.rows for v in vec),
@@ -325,10 +328,11 @@ def _table_text(profile) -> str:
     )
     label_w = max(len("Sum"), max(len(str(y)) for y, _ in profile.rows))
     header = ("", range(len(profile.receptions)))
-    return "\n".join(
-        str(label).rjust(label_w) + " | " + " ".join(str(v).rjust(width) for v in vec)
+    return [
+        str(label).rjust(label_w) + " | "
+        + " ".join(str(v).rjust(width) for v in vec) + "\n"
         for label, vec in (header, *profile.rows, ("Sum", profile.receptions))
-    )
+    ]
 
 
 def _cmd_tower_table(args) -> int:
@@ -408,10 +412,10 @@ def _cmd_lattice_check(args) -> int:
     }
     rows = ([_point_str(rep), val] for rep, val in receptions.items())
     verdict = "dominates" if dominating else "does not dominate"
-    text = lambda: "\n".join([
-        f"{pattern} (index {pattern.index}) {verdict} under ({args.t},{args.r})",
-        *(f"{_point_str(rep)}: {val}" for rep, val in receptions.items()),
-    ])
+    text = lambda: [
+        f"{pattern} (index {pattern.index}) {verdict} under ({args.t},{args.r})\n",
+        *(f"{_point_str(rep)}: {val}\n" for rep, val in receptions.items()),
+    ]
     code = EXIT_OK if dominating else EXIT_FALSE
     return _emit(args, payload, text, ["coset", "reception"], rows, code=code)
 

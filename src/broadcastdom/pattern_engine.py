@@ -4,10 +4,13 @@ A pattern places a broadcast at every point of a full-rank sublattice of Z^n
 and dominates when every point still accumulates reception r; reception is
 constant on cosets. T(d,e) is the SublatticePattern with basis ((d,0),(e,1)).
 Towers of Z^n, broadcasts at (m*d + y.e, y) for y in Z^(n-1), are searched
-in Z^2 and Z^3 by _tower_search from per-d row profiles indexed by |y|_1,
-rotated for each shift vector e, as are reception_table's rows. Every other
-reception reads the coset histogram, a dict from reached box representatives
-to receptions. All share the cap of DEFAULT_INDEX_CAP cosets.
+in Z^2 and Z^3 by _tower_search. At each period d, one scatter of the ball
+(_middle_column) gives column d // 2's reception for every last coordinate
+of the shift vector e at once, and each e below r there is dropped; the
+rest are walked over row profiles indexed by |y|_1, stepped in place from
+one d to the next and rotated for each e, as are reception_table's rows.
+Every other reception reads the coset histogram, a dict from reached box
+representatives to receptions. All share the cap of DEFAULT_INDEX_CAP cosets.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import getitem, sub
-from typing import Iterator, Sequence
+from operator import getitem, mul, sub
+from typing import Callable, Iterator, Sequence
 
 from .coverage_bounds import Params, max_potential_d
 from .lattice_geometry import LatticePoint, _ball_walk
@@ -164,28 +167,100 @@ def _shift_vectors(n: int, d: int) -> Iterator[tuple[int, ...]]:
             yield e
 
 
+def _middle_column(
+    d: int, ball: Sequence[tuple[LatticePoint, int]]
+) -> Callable[[tuple[int, ...]], list[int]]:
+    """Column d // 2's reception in T(d; *prefix, l) for every l <= d // 2.
+
+    Returns that list as a function of the prefix e[:-1]; ball lists each y
+    of B_(n-1)(t-1) with t - 1 - |y|_1, as _ball_walk does. Offset (x, y)
+    reaches column i0 = d // 2 exactly when y_last * l = off - x (mod d),
+    where off = i0 - y[:-1].prefix. With g = gcd(y_last, d), that needs
+    x = off (mod g), and then l = k * (y_last / g)^-1 (mod d / g) with
+    k = (off - x) / g; each solution l gets t - |y|_1 - |x|. Rows with
+    d | y_last add the same to every l, so they sum to one base term. About
+    |B_n(t - 1)| additions per prefix.
+    """
+    i0, half = d // 2, d // 2 + 1
+    fixed, scattered = [], []
+    for y, left in ball:
+        *head, last = y
+        g = math.gcd(last, d)
+        if g == d:
+            fixed.append((head, left))
+        else:
+            scattered.append((head, left, g, d // g, pow(last // g, -1, d // g)))
+
+    def column(prefix: tuple[int, ...]) -> list[int]:
+        base = 0
+        for head, left in fixed:
+            off = (i0 - sum(map(mul, head, prefix))) % d
+            for x in range(off - (off + left) // d * d, left + 1, d):
+                base += left + 1 - abs(x)
+        received = [base] * half
+        for head, left, g, m, inv in scattered:
+            off = (i0 - sum(map(mul, head, prefix))) % d
+            # the least x >= -left with x = off (mod g), then every g-th one
+            for x in range(off - (off + left) // g * g, left + 1, g):
+                l = (off - x) // g * inv % m
+                while l < half:
+                    received[l] += left + 1 - abs(x)
+                    l += m
+        return received
+
+    return column
+
+
+def _step_profiles(profiles: list[list[int]], d: int) -> None:
+    """Step the row profiles of level d to those of level d - 1, in place.
+
+    A profile of reach t - a that does not wrap (2(t - a) - 1 < d) holds
+    zeros from index t - a to d - t + a, so it loses the one at t - a. The
+    profiles that wrap come first and are copied from _row_profiles(t, d - 1),
+    built only at a level below 2t. Lists that alias a profile stay valid.
+    """
+    t = len(profiles)
+    fresh = _row_profiles(t, d - 1) if 2 * t - 1 >= d else None
+    for a, row in enumerate(profiles):
+        if 2 * (t - a) - 1 < d:
+            del row[t - a]
+        else:
+            row[:] = fresh[a]
+
+
 def _tower_search(n: int, params: Params, top: int) -> tuple[int, tuple[int, ...]]:
     """Sparsest dominating tower T(d; e) of Z^n: largest d <= top, then least e.
 
     Offset y sends row profile |y|_1 to column i - y.e (mod d). Every coset
     meets the x-axis, so T(d; e) dominates when every column reaches r, and
     negation fixes it, so column d - i receives what column i does: only
-    columns 0..d // 2 are walked. Columns near the one that rejected the
-    last e tend to reject the next, so the walk goes outward from that
-    killer k: k, k - 1, k + 1, k - 2, k + 2, ... (mod d // 2 + 1). Each d
-    starts at k = d // 2, the column farthest from the broadcasts of e = 0.
+    columns 0..d // 2 are walked. First, column d // 2, the farthest from
+    the broadcasts of row 0, is read for every last coordinate of e at once
+    by _middle_column, whenever e[:-1] changes; an e it finds below r is
+    dropped before its shifts are built. Columns near the one that rejected
+    the last e tend to reject the next, so the walk of a survivor goes
+    outward from that killer k: k, k - 1, k + 1, k - 2, k + 2, ... (mod
+    d // 2 + 1). Each d starts at k = d // 2. The row profiles are stepped
+    from level to level by _step_profiles.
     """
     t, r = params.t, params.r
-    norms, offsets = zip(*((t - 1 - left, y) for y, left in _ball_walk(n - 1, t - 1)))
+    ball = list(_ball_walk(n - 1, t - 1))
+    norms, offsets = zip(*((t - 1 - left, y) for y, left in ball))
     first, *rest = zip(*offsets)
     # offsets from the killer in walking order: 0, -1, 1, -2, 2, ...
     steps = [(k + 1) // 2 * (-1) ** k for k in range(top // 2 + 1)]
+    profiles = _row_profiles(t, top)
+    rows = [profiles[a] for a in norms]
     for d in range(top, 0, -1):
-        profiles = _row_profiles(t, d)
-        rows = [profiles[a] for a in norms]
         half, killer = d // 2 + 1, d // 2
         outward = steps[:half]
+        middle, prefix = _middle_column(d, ball), None
         for e in _shift_vectors(n, d):
+            if e[:-1] != prefix:
+                prefix = e[:-1]
+                received = middle(prefix)
+            if received[e[-1]] < r:
+                continue
             # i - shift lies in (-d, d), so negative indexing wraps it mod d
             lead = e[0]
             shifts = [y * lead % d for y in first]
@@ -198,6 +273,7 @@ def _tower_search(n: int, params: Params, top: int) -> tuple[int, tuple[int, ...
                     break
             else:
                 return d, e
+        _step_profiles(profiles, d)
     raise AssertionError("unreachable: d = 1 always dominates")
 
 

@@ -123,19 +123,23 @@ def brute_min_tower_3d(t: int, r: int, cap=None) -> tuple[int, int, int]:
     the coverage bound (or cap, when smaller) and (e1, e2) over range(d)^2
     in lexicographic order, so the first basis whose box receptions all
     reach r has the largest d and, for it, the least (e1, e2). No candidate
-    is skipped.
+    is skipped; each is read one box point at a time, up to its first
+    point below r.
     """
     top = window_coverage(3, t, r) // r
     for d in range(top if cap is None else min(cap, top), 0, -1):
         for e1, e2 in itertools.product(range(d), repeat=2):
             basis = ((d, 0, 0), (e1, 1, 0), (e2, 0, 1))
-            if min(brute_lattice_receptions(t, basis).values()) >= r:
+            if all(
+                brute_lattice_receptions(t, basis, [(x, 0, 0)])[(x, 0, 0)] >= r
+                for x in range(d)
+            ):
                 return d, e1, e2
     raise AssertionError("the identity basis always dominates")
 
 
-def brute_lattice_receptions(t: int, basis) -> dict:
-    """Reception at each point of the box prod(range(basis[j][j])).
+def brute_lattice_receptions(t: int, basis, points=None) -> dict:
+    """Reception at each point of the box prod(range(basis[j][j])), or of points.
 
     basis lists the columns of an upper-triangular integer basis with a
     positive diagonal (column j is zero below row j), as a Hermite normal
@@ -147,7 +151,8 @@ def brute_lattice_receptions(t: int, basis) -> dict:
     """
     n = len(basis)
     out = {}
-    for p in itertools.product(*(range(basis[j][j]) for j in range(n))):
+    box = itertools.product(*(range(basis[j][j]) for j in range(n)))
+    for p in box if points is None else points:
         tails = [()]
         for j in range(n - 1, -1, -1):
             grown = []

@@ -28,10 +28,13 @@ from broadcastdom import (
     reception_table,
     tower_reception,
 )
+from broadcastdom.lattice_geometry import _ball_walk
 from broadcastdom.pattern_engine import (
     _coset_histogram,
+    _middle_column,
     _row_profiles,
     _shift_vectors,
+    _step_profiles,
     _tower_search,
 )
 
@@ -155,6 +158,63 @@ def test_tower_search_matches_plain_walk_below_every_top():
                         break
                 got = _tower_search(2, params, top)
                 assert got == (d, (least_e[d],)), (t, r, top)
+
+
+def test_tower_search_3d_matches_brute_search_below_every_top():
+    # Each top starts the Z^3 search at a different level. The brute search
+    # tries every (e1, e2) in range(d)^2 from its cap down; its answer at d
+    # also answers every top from its cap down to d.
+    for t in range(1, 4):
+        for r in range(1, t + 1):
+            params = Params(t, r)
+            top = max_potential_d(3, params)
+            while top:
+                d, e1, e2 = brute_min_tower_3d(t, r, top)
+                for cap in range(top, d - 1, -1):
+                    assert _tower_search(3, params, cap) == (d, (e1, e2)), (t, r, cap)
+                top = d - 1
+
+
+def test_middle_column_matches_plane_window_oracle():
+    # Every level the Z^2 search can walk for t <= 6 (r = 1 starts highest):
+    # entry l is column d // 2 of T(d, l) by explicit broadcast enumeration.
+    for t in range(1, 7):
+        ball = list(_ball_walk(1, t - 1))
+        for d in range(max_potential_d(2, Params(t, 1)), 0, -1):
+            expected = [
+                window_tower_receptions(t, 1, d, l)[d // 2] for l in range(d // 2 + 1)
+            ]
+            assert _middle_column(d, ball)(()) == expected, (t, d)
+
+
+def test_middle_column_matches_space_lattice_oracle():
+    # In Z^3 the prefix is e1; entry l is the reception of the coset
+    # (d // 2, 0, 0) of the basis ((d,0,0), (e1,1,0), (l,0,1)).
+    for t in range(1, 5):
+        ball = list(_ball_walk(2, t - 1))
+        for d in range(1, 31):
+            column, middle = _middle_column(d, ball), (d // 2, 0, 0)
+            for e1 in range(d // 2 + 1):
+                expected = [
+                    brute_lattice_receptions(
+                        t, ((d, 0, 0), (e1, 1, 0), (l, 0, 1)), [middle]
+                    )[middle]
+                    for l in range(d // 2 + 1)
+                ]
+                assert column((e1,)) == expected, (t, d, e1)
+
+
+def test_step_profiles_match_a_fresh_build_at_every_level():
+    # Stepping in place from above 2t down to 1 crosses both the levels
+    # where no profile wraps and those where the widest ones do; lists that
+    # alias a profile see each step.
+    for t in range(1, 9):
+        profiles = _row_profiles(t, 2 * t + 3)
+        alias = list(profiles)
+        for d in range(2 * t + 3, 1, -1):
+            _step_profiles(profiles, d)
+            assert profiles == _row_profiles(t, d - 1), (t, d - 1)
+            assert all(a is b for a, b in zip(alias, profiles)), (t, d - 1)
 
 
 def test_row_profiles_match_offset_sums():

@@ -122,6 +122,15 @@ def tower_rows_under_80_mb(child):
     assert child.peak_mb < 80
 
 
+def tower_text_under_75_mb(child):
+    # The same table as text: one line per row, written without joining
+    # the 61 lines into one string.
+    lines = child.out.splitlines()
+    assert len(lines) == 61 and lines[-1].startswith("Sum |   150   150   150 ")
+    assert all(line.count(" | ") == 1 for line in lines)
+    assert child.peak_mb < 75
+
+
 TABLE3_T18 = {(18, 1): (613, 35), (18, 9): (372, 100), (18, 18): (205, 85)}
 
 
@@ -134,6 +143,10 @@ def table3_to_t18(child):
 
 def lattice_search_5_1(child):
     assert child.out == "L(117,0,0; 16,1,0; 22,0,1)\n"
+
+
+def lattice_search_6_2(child):
+    assert child.out == "L(154,0,0; 7,1,0; 43,0,1)\n"
 
 
 def out_of_memory(child):
@@ -182,6 +195,10 @@ def indented_json(child):
         10, 0, tower_rows_under_80_mb, None, id="tower-table-csv-memory",
     ),
     pytest.param(
+        ["tower-table", "30", "10", "50000", "5"],
+        10, 0, tower_text_under_75_mb, None, id="tower-table-text-memory",
+    ),
+    pytest.param(
         ["table3", "--tmax", "18", "--format", "json", "--no-timestamp"],
         10, 0, table3_to_t18, None, id="table3-z2",
     ),
@@ -197,6 +214,10 @@ def indented_json(child):
     pytest.param(
         ["lattice-search3d", "5", "1"], 10, 0, lattice_search_5_1, None,
         id="lattice-search3d-z3",
+    ),
+    pytest.param(
+        ["lattice-search3d", "6", "2"], 10, 0, lattice_search_6_2, None,
+        id="lattice-search3d-z3-6-2",
     ),
     pytest.param(
         ["tower-table", "30", "10", "1262", "495", "--format", "json",
