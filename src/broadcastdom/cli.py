@@ -658,7 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("lattice-search3d", _cmd_lattice_search3d,
                 "sparsest dominating tower-form pattern in Z^3", "t r")
     p.add_argument("--cap", type=int, default=DEFAULT_INDEX_CAP,
-                   help="largest pattern index to try")
+                   help="largest pattern index to try; no tower search tries "
+                   f"more than {DEFAULT_INDEX_CAP} cosets, whatever --cap says")
 
     p = command("gamma", _cmd_gamma, "exact minimum dominating set of a small graph")
     p.add_argument("expr", help="graph expression, e.g. P5*P5 or C4*C4")

@@ -4,13 +4,16 @@ A pattern places a broadcast at every point of a full-rank sublattice of Z^n
 and dominates when every point still accumulates reception r; reception is
 constant on cosets. T(d,e) is the SublatticePattern with basis ((d,0),(e,1)).
 Towers of Z^n, broadcasts at (m*d + y.e, y) for y in Z^(n-1), are searched
-in Z^2 and Z^3 by _tower_search. At each period d, one scatter of the ball
-(_middle_column) gives column d // 2's reception for every last coordinate
-of the shift vector e at once, and each e below r there is dropped; the
-rest are walked over row profiles indexed by |y|_1, stepped in place from
-one d to the next and rotated for each e, as are reception_table's rows.
-Every other reception reads the coset histogram, a dict from reached box
-representatives to receptions. All share the cap of DEFAULT_INDEX_CAP cosets.
+in Z^2 and Z^3 by _tower_search, from the coverage ceiling (lowered to a
+caller's cap) down; a top above DEFAULT_INDEX_CAP is refused before any
+work. The tent t - |y|_1 - |x| is summed only into the row profiles,
+indexed by |y|_1 and stepped in place from one d to the next. At each d,
+one scatter of the ball (_middle_column) gives column d // 2's reception
+for every last coordinate of the shift vector e at once, and each e below
+r there is dropped; the rest are walked over the profiles, rotated for
+each e, as are reception_table's rows. Every other reception reads the
+coset histogram, a dict from reached box representatives to receptions.
+All share the cap of DEFAULT_INDEX_CAP cosets.
 """
 
 from __future__ import annotations
@@ -168,35 +171,30 @@ def _shift_vectors(n: int, d: int) -> Iterator[tuple[int, ...]]:
 
 
 def _middle_column(
-    d: int, ball: Sequence[tuple[LatticePoint, int]]
+    d: int, ball: Sequence[tuple[LatticePoint, int]], rows: Sequence[list[int]]
 ) -> Callable[[tuple[int, ...]], list[int]]:
     """Column d // 2's reception in T(d; *prefix, l) for every l <= d // 2.
 
     Returns that list as a function of the prefix e[:-1]; ball lists each y
-    of B_(n-1)(t-1) with t - 1 - |y|_1, as _ball_walk does. Offset (x, y)
+    of B_(n-1)(t-1) with t - 1 - |y|_1, as _ball_walk does, and rows holds
+    the level's row profile of each y in the same order. Offset (x, y)
     reaches column i0 = d // 2 exactly when y_last * l = off - x (mod d),
     where off = i0 - y[:-1].prefix. With g = gcd(y_last, d), that needs
     x = off (mod g), and then l = k * (y_last / g)^-1 (mod d / g) with
-    k = (off - x) / g; each solution l gets t - |y|_1 - |x|. Rows with
-    d | y_last add the same to every l, so they sum to one base term. About
-    |B_n(t - 1)| additions per prefix.
+    k = (off - x) / g; each solution l gets t - |y|_1 - |x|. A row with
+    d | y_last adds the same to every l: its profile at off, read once.
     """
     i0, half = d // 2, d // 2 + 1
     fixed, scattered = [], []
-    for y, left in ball:
-        *head, last = y
+    for ((*head, last), left), row in zip(ball, rows):
         g = math.gcd(last, d)
         if g == d:
-            fixed.append((head, left))
+            fixed.append((head, row))
         else:
             scattered.append((head, left, g, d // g, pow(last // g, -1, d // g)))
 
     def column(prefix: tuple[int, ...]) -> list[int]:
-        base = 0
-        for head, left in fixed:
-            off = (i0 - sum(map(mul, head, prefix))) % d
-            for x in range(off - (off + left) // d * d, left + 1, d):
-                base += left + 1 - abs(x)
+        base = sum(row[(i0 - sum(map(mul, head, prefix))) % d] for head, row in fixed)
         received = [base] * half
         for head, left, g, m, inv in scattered:
             off = (i0 - sum(map(mul, head, prefix))) % d
@@ -228,9 +226,14 @@ def _step_profiles(profiles: list[list[int]], d: int) -> None:
             row[:] = fresh[a]
 
 
-def _tower_search(n: int, params: Params, top: int) -> tuple[int, tuple[int, ...]]:
+def _tower_search(
+    n: int, params: Params, cap: int | None = None
+) -> tuple[int, tuple[int, ...]]:
     """Sparsest dominating tower T(d; e) of Z^n: largest d <= top, then least e.
 
+    top is the coverage ceiling max_potential_d(n, params), lowered to cap
+    when one is given. The row profiles are built at top first, so a top
+    above DEFAULT_INDEX_CAP is refused before anything else is allocated.
     Offset y sends row profile |y|_1 to column i - y.e (mod d). Every coset
     meets the x-axis, so T(d; e) dominates when every column reaches r, and
     negation fixes it, so column d - i receives what column i does: only
@@ -244,17 +247,19 @@ def _tower_search(n: int, params: Params, top: int) -> tuple[int, tuple[int, ...
     from level to level by _step_profiles.
     """
     t, r = params.t, params.r
+    top = max_potential_d(n, params)
+    if cap is not None:
+        top = min(top, cap)
+    profiles = _row_profiles(t, top)
     ball = list(_ball_walk(n - 1, t - 1))
-    norms, offsets = zip(*((t - 1 - left, y) for y, left in ball))
-    first, *rest = zip(*offsets)
+    rows = [profiles[t - 1 - left] for _, left in ball]
+    first, *rest = zip(*(y for y, _ in ball))
     # offsets from the killer in walking order: 0, -1, 1, -2, 2, ...
     steps = [(k + 1) // 2 * (-1) ** k for k in range(top // 2 + 1)]
-    profiles = _row_profiles(t, top)
-    rows = [profiles[a] for a in norms]
     for d in range(top, 0, -1):
         half, killer = d // 2 + 1, d // 2
         outward = steps[:half]
-        middle, prefix = _middle_column(d, ball), None
+        middle, prefix = _middle_column(d, ball, rows), None
         for e in _shift_vectors(n, d):
             if e[:-1] != prefix:
                 prefix = e[:-1]
@@ -279,7 +284,7 @@ def _tower_search(n: int, params: Params, top: int) -> tuple[int, tuple[int, ...
 
 def min_density_search(params: Params) -> TowerPattern:
     """Sparsest dominating tower of Z^2: largest d, then smallest e."""
-    d, (e,) = _tower_search(2, params, max_potential_d(2, params))
+    d, (e,) = _tower_search(2, params)
     return TowerPattern(d, e)
 
 
@@ -414,9 +419,11 @@ def lattice_search_3d(
 
     Bases searched are ((d,0,0), (e1,1,0), (e2,0,1)): one broadcast per line
     of the last two coordinates, so the index is d <= index_cap. Largest d
-    wins, with (e1, e2) in ascending order breaking ties.
+    wins, with (e1, e2) in ascending order breaking ties. A ceiling, lowered
+    to index_cap, that is above DEFAULT_INDEX_CAP is refused whatever
+    index_cap says.
     """
     if index_cap < 1:
         raise ValueError("index_cap must be at least 1")
-    d, (e1, e2) = _tower_search(3, params, min(index_cap, max_potential_d(3, params)))
+    d, (e1, e2) = _tower_search(3, params, index_cap)
     return SublatticePattern(((d, 0, 0), (e1, 1, 0), (e2, 0, 1)))

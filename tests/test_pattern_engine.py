@@ -145,8 +145,8 @@ def test_tower_search_matches_plain_walk_below_every_top():
     for t in range(1, 6):
         for r in range(1, t + 1):
             params = Params(t, r)
-            least_e = {}
-            for top in range(max_potential_d(2, params), 0, -1):
+            least_e, ceiling = {}, max_potential_d(2, params)
+            for top in range(ceiling, 0, -1):
                 for d in range(top, 0, -1):
                     if d not in least_e:
                         least_e[d] = next(
@@ -156,8 +156,11 @@ def test_tower_search_matches_plain_walk_below_every_top():
                         )
                     if least_e[d] is not None:
                         break
-                got = _tower_search(2, params, top)
+                got = _tower_search(2, params, cap=top)
                 assert got == (d, (least_e[d],)), (t, r, top)
+            # a cap above the ceiling leaves the search as it is uncapped
+            for cap in (ceiling + 1, 2 * ceiling, DEFAULT_INDEX_CAP):
+                assert _tower_search(2, params, cap) == _tower_search(2, params)
 
 
 def test_tower_search_3d_matches_brute_search_below_every_top():
@@ -167,12 +170,21 @@ def test_tower_search_3d_matches_brute_search_below_every_top():
     for t in range(1, 4):
         for r in range(1, t + 1):
             params = Params(t, r)
-            top = max_potential_d(3, params)
+            top = ceiling = max_potential_d(3, params)
             while top:
                 d, e1, e2 = brute_min_tower_3d(t, r, top)
                 for cap in range(top, d - 1, -1):
                     assert _tower_search(3, params, cap) == (d, (e1, e2)), (t, r, cap)
                 top = d - 1
+            # a cap above the ceiling leaves the search as it is uncapped
+            for cap in (ceiling + 1, 2 * ceiling, DEFAULT_INDEX_CAP):
+                assert _tower_search(3, params, cap) == _tower_search(3, params)
+
+
+def level_rows(t, d, ball):
+    # The level's row profiles in ball order: profile |y|_1 for each y.
+    profiles = _row_profiles(t, d)
+    return [profiles[t - 1 - left] for _, left in ball]
 
 
 def test_middle_column_matches_plane_window_oracle():
@@ -184,7 +196,8 @@ def test_middle_column_matches_plane_window_oracle():
             expected = [
                 window_tower_receptions(t, 1, d, l)[d // 2] for l in range(d // 2 + 1)
             ]
-            assert _middle_column(d, ball)(()) == expected, (t, d)
+            rows = level_rows(t, d, ball)
+            assert _middle_column(d, ball, rows)(()) == expected, (t, d)
 
 
 def test_middle_column_matches_space_lattice_oracle():
@@ -193,7 +206,8 @@ def test_middle_column_matches_space_lattice_oracle():
     for t in range(1, 5):
         ball = list(_ball_walk(2, t - 1))
         for d in range(1, 31):
-            column, middle = _middle_column(d, ball), (d // 2, 0, 0)
+            rows = level_rows(t, d, ball)
+            column, middle = _middle_column(d, ball, rows), (d // 2, 0, 0)
             for e1 in range(d // 2 + 1):
                 expected = [
                     brute_lattice_receptions(
@@ -509,6 +523,30 @@ def test_tower_index_cap():
         reception_table(params, pattern)
     with pytest.raises(IndexCapExceeded):
         is_dominating_tower(params, pattern)
+
+
+@pytest.mark.parametrize("search, n, params, cap", [
+    (min_density_search, 2, Params(2000, 1), None),
+    (lattice_search_3d, 3, Params(95, 1), 2 * 10**6),
+])
+def test_tower_search_refuses_a_top_above_the_cap_before_allocating(
+    search, n, params, cap
+):
+    # The top is the ceiling (below the cap, when one is given) and above
+    # DEFAULT_INDEX_CAP: it is refused before the ball, the walking order
+    # or any profile is built.
+    top = max_potential_d(n, params)
+    assert DEFAULT_INDEX_CAP < top < (cap or math.inf)
+    message = f"^pattern has {top} cosets, above the cap of {DEFAULT_INDEX_CAP}$"
+    kwargs = {} if cap is None else {"index_cap": cap}
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndexCapExceeded, match=message):
+            search(params, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_tower_reception_memory_does_not_grow_with_d():

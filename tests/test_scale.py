@@ -153,6 +153,13 @@ def out_of_memory(child):
     assert child.err == "error: out of memory\n"
 
 
+def tower_cap_refused(child):
+    # The ceiling alone refuses the search: nothing is built before it.
+    assert child.err == (
+        "error: pattern has 1799940001 cosets, above the cap of 1000000\n"
+    )
+
+
 def indented_json(child):
     # _dumps writes the bytes of the standard library's indented json. Lines
     # are compared, so that a failure names the first differing line instead
@@ -206,6 +213,16 @@ def indented_json(child):
     pytest.param(
         ["gamma", "P40000", "1", "1"], 60, 2, out_of_memory, 300_000,
         id="gamma-out-of-memory",
+        marks=pytest.mark.skipif(
+            not hasattr(resource, "RLIMIT_AS"),
+            reason="no address-space limit on this platform",
+        ),
+    ),
+    # The ceiling of (30000, 1) is 1,799,940,001 cosets; the search is
+    # refused with it, under the same limit, before it allocates.
+    pytest.param(
+        ["tower-search", "30000", "1"], 10, 2, tower_cap_refused, 300_000,
+        id="tower-search-cap-before-memory",
         marks=pytest.mark.skipif(
             not hasattr(resource, "RLIMIT_AS"),
             reason="no address-space limit on this platform",
