@@ -34,7 +34,7 @@ from .graph_domination import (
 from .lattice_geometry import (
     DEFAULT_ENUMERATION_CAP,
     GENFUNC_KINDS,
-    EnumerationCapExceeded,
+    CapExceeded,
     LatticePoint,
     SignedTuple,
     TupleSequence,
@@ -49,7 +49,6 @@ from .lattice_geometry import (
 )
 from .pattern_engine import (
     DEFAULT_INDEX_CAP,
-    IndexCapExceeded,
     ReceptionProfile,
     SublatticePattern,
     TowerPattern,
@@ -69,13 +68,12 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "DEFAULT_INDEX_CAP",
     "GENFUNC_KINDS",
+    "CapExceeded",
     "CycleLemmaReport",
-    "EnumerationCapExceeded",
     "FiniteGraph",
     "GammaResult",
     "GraphExprError",
     "GridDims",
-    "IndexCapExceeded",
     "LatticePoint",
     "Params",
     "ReceptionProfile",

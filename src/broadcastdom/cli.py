@@ -79,6 +79,7 @@ from .pattern_engine import (
     DEFAULT_INDEX_CAP,
     SublatticePattern,
     TowerPattern,
+    _check_profiles,
     lattice_receptions,
     lattice_search_3d,
     min_density_search,
@@ -371,6 +372,8 @@ def _cmd_table3(args) -> int:
         raise ValueError("--threads must be nonnegative")
     if args.tmax < 1:
         raise ValueError("--tmax must be at least 1")
+    # Cell (tmax, 1) has the largest t and ceiling: sized before any search.
+    _check_profiles(args.tmax, max_potential_d(2, Params(args.tmax, 1)))
     cells = [(t, r) for t in range(1, args.tmax + 1) for r in range(1, t + 1)]
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     workers = min(threads, len(cells))
@@ -658,8 +661,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("lattice-search3d", _cmd_lattice_search3d,
                 "sparsest dominating tower-form pattern in Z^3", "t r")
     p.add_argument("--cap", type=int, default=DEFAULT_INDEX_CAP,
-                   help="largest pattern index to try; no tower search tries "
-                   f"more than {DEFAULT_INDEX_CAP} cosets, whatever --cap says")
+                   help="largest pattern index to try; no tower search tries more "
+                   f"than {DEFAULT_INDEX_CAP} cosets or holds more than 10**7 profile "
+                   "slots (t * index), whatever --cap says")
 
     p = command("gamma", _cmd_gamma, "exact minimum dominating set of a small graph")
     p.add_argument("expr", help="graph expression, e.g. P5*P5 or C4*C4")

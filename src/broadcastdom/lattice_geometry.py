@@ -7,7 +7,8 @@ term by an exact ratio, and a shell size is the difference of two consecutive
 balls. Univariate generating function coefficients divide a binomial
 numerator by (1 - x)^k as k running sums; the bivariate tables and the
 Delannoy numbers walk the rows of the Delannoy recursion. The shell <-> box
-bijection uses an explicit tuple encoding.
+bijection uses an explicit tuple encoding. Every cap of the package, here and
+in pattern_engine, refuses through _check_cap with the one CapExceeded.
 """
 
 from __future__ import annotations
@@ -32,8 +33,14 @@ GENFUNC_KINDS = (
 )
 
 
-class EnumerationCapExceeded(RuntimeError):
-    """Raised when an enumeration would produce more points than allowed."""
+class CapExceeded(RuntimeError):
+    """Raised when a computation would need more than its cap allows."""
+
+
+def _check_cap(what: str, needed: int, cap: int) -> None:
+    # what names the count with a {} for it: "pattern has {} cosets".
+    if needed > cap:
+        raise CapExceeded(f"{what.format(needed)}, above the cap of {cap}")
 
 
 def shell_size(n: int, d: int) -> int:
@@ -113,10 +120,7 @@ def shell_enumerate(
     size = ball_size(n, d)  # refuses a negative n or d
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    if size > cap:
-        raise EnumerationCapExceeded(
-            f"ball ({n}, {d}) has {size} points, above the cap of {cap}"
-        )
+    _check_cap(f"ball ({n}, {d}) has {{}} points", size, cap)
     if n == 0:
         return [()] if d == 0 else []
     return [(*y, x) for y, left in _ball_walk(n - 1, d)

@@ -5,15 +5,17 @@ and dominates when every point still accumulates reception r; reception is
 constant on cosets. T(d,e) is the SublatticePattern with basis ((d,0),(e,1)).
 Towers of Z^n, broadcasts at (m*d + y.e, y) for y in Z^(n-1), are searched
 in Z^2 and Z^3 by _tower_search, from the coverage ceiling (lowered to a
-caller's cap) down; a top above DEFAULT_INDEX_CAP is refused before any
-work. The tent t - |y|_1 - |x| is summed only into the row profiles,
-indexed by |y|_1 and stepped in place from one d to the next. At each d,
-one scatter of the ball (_middle_column) gives column d // 2's reception
-for every last coordinate of the shift vector e at once, and each e below
-r there is dropped; the rest are walked over the profiles, rotated for
-each e, as are reception_table's rows. Every other reception reads the
-coset histogram, a dict from reached box representatives to receptions.
-All share the cap of DEFAULT_INDEX_CAP cosets.
+caller's cap) down; _check_profiles refuses a top before any work. The
+tent t - |y|_1 - |x| is summed only into the row profiles, indexed by
+|y|_1 and stepped in place from one d to the next. At each d, one scatter
+of the ball (_middle_column) gives column d // 2's reception for every
+last coordinate of the shift vector e at once, and each e below r there
+is dropped; the rest are walked over the profiles, rotated for each e, as
+are reception_table's rows. Every other reception reads the coset
+histogram, a dict from reached box representatives to receptions. All
+share the cap of DEFAULT_INDEX_CAP cosets; the t row profiles of d slots
+each also share the cap of _PROFILE_SLOT_CAP slots. Every cap refuses
+through _check_cap with the one CapExceeded.
 """
 
 from __future__ import annotations
@@ -25,13 +27,10 @@ from operator import getitem, mul, sub
 from typing import Callable, Iterator, Sequence
 
 from .coverage_bounds import Params, max_potential_d
-from .lattice_geometry import LatticePoint, _ball_walk
+from .lattice_geometry import LatticePoint, _ball_walk, _check_cap
 
 DEFAULT_INDEX_CAP = 10**6
-
-
-class IndexCapExceeded(RuntimeError):
-    """Raised when a sublattice has more cosets than the caller allowed."""
+_PROFILE_SLOT_CAP = 10**7  # ints held by the t row profiles of d slots each
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,17 @@ class ReceptionProfile:
 def _check_index(index: int, cap: int) -> None:
     if cap < 1:
         raise ValueError("index_cap must be at least 1")
-    if index > cap:
-        raise IndexCapExceeded(f"pattern has {index} cosets, above the cap of {cap}")
+    _check_cap("pattern has {} cosets", index, cap)
+
+
+def _check_profiles(t: int, d: int) -> None:
+    """Refuse the row profiles of (t, d) before they are built.
+
+    First d against DEFAULT_INDEX_CAP cosets, then their t * d slots against
+    _PROFILE_SLOT_CAP.
+    """
+    _check_index(d, DEFAULT_INDEX_CAP)
+    _check_cap("row profiles have {} slots", t * d, _PROFILE_SLOT_CAP)
 
 
 def _reduce(basis: tuple[tuple[int, ...], ...], residue: list[int]) -> list[int]:
@@ -102,9 +110,9 @@ def _row_profiles(t: int, d: int) -> list[list[int]]:
     Profile a, for 0 <= a < t, is that row at transverse distance a: column
     k gets t - a - |x| from every offset x = k (mod d) with |x| < t - a. A
     tower receives the sum over its rows y of profile |y|_1 at column
-    i - y.e (mod d). Refuses d > DEFAULT_INDEX_CAP before allocating.
+    i - y.e (mod d). Refused by _check_profiles before anything is allocated.
     """
-    _check_index(d, DEFAULT_INDEX_CAP)
+    _check_profiles(t, d)
     profiles = []
     for reach in range(t, 0, -1):
         row = [0] * d
@@ -233,7 +241,7 @@ def _tower_search(
 
     top is the coverage ceiling max_potential_d(n, params), lowered to cap
     when one is given. The row profiles are built at top first, so a top
-    above DEFAULT_INDEX_CAP is refused before anything else is allocated.
+    that _check_profiles refuses is refused before anything else is allocated.
     Offset y sends row profile |y|_1 to column i - y.e (mod d). Every coset
     meets the x-axis, so T(d; e) dominates when every column reaches r, and
     negation fixes it, so column d - i receives what column i does: only
@@ -420,8 +428,8 @@ def lattice_search_3d(
     Bases searched are ((d,0,0), (e1,1,0), (e2,0,1)): one broadcast per line
     of the last two coordinates, so the index is d <= index_cap. Largest d
     wins, with (e1, e2) in ascending order breaking ties. A ceiling, lowered
-    to index_cap, that is above DEFAULT_INDEX_CAP is refused whatever
-    index_cap says.
+    to index_cap, that is above DEFAULT_INDEX_CAP, or whose t row profiles
+    need more than _PROFILE_SLOT_CAP slots, is refused whatever index_cap says.
     """
     if index_cap < 1:
         raise ValueError("index_cap must be at least 1")

@@ -273,6 +273,25 @@ def test_table3_pool_is_no_larger_than_the_table(capsys, monkeypatch):
     assert pooled == run(capsys, "table3", "--tmax", "2", "--threads", "1")
 
 
+@pytest.mark.parametrize("tmax, message", [
+    ("172", "row profiles have 10117900 slots, above the cap of 10000000"),
+    ("708", "pattern has 1001113 cosets, above the cap of 1000000"),
+])
+def test_table3_sizes_its_largest_cell_before_any_search(
+    capsys, monkeypatch, tmax, message
+):
+    # Cell (tmax, 1) is refused before the first cell is searched, so no
+    # progress line is printed, and before a worker pool could start.
+    import multiprocessing
+
+    pools = []
+    monkeypatch.setattr(multiprocessing, "Pool", pools.append)
+    for threads in ("1", "2"):
+        result = run_within(5, capsys, "table3", "--tmax", tmax, "--threads", threads)
+        assert result == (2, "", f"error: {message}\n")
+    assert pools == []
+
+
 def test_table3_csv_rows(capsys):
     code, out, _ = run(capsys, "table3", "--tmax", "2", "--format", "csv")
     assert code == 0
@@ -739,6 +758,37 @@ def test_cli_import_skips_unused_stdlib_modules():
     assert "broadcastdom.cli" in loaded
     for name in ("multiprocessing", "datetime", "fractions", "decimal"):
         assert name not in loaded, name
+
+
+def test_one_cap_exception_and_no_stale_export():
+    # __all__ lists exactly what __init__ imports, and every cap refuses
+    # with CapExceeded, the one RuntimeError subclass, raised only by
+    # _check_cap: a new search cannot bring a limit type of its own.
+    import ast
+
+    import broadcastdom
+
+    package = SRC_DIR / "broadcastdom"
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(broadcastdom.__all__) == sorted(imported)
+    nodes = [node for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
+    bases = {node.name: {ast.unparse(base).split(".")[-1] for base in node.bases}
+             for node in nodes if isinstance(node, ast.ClassDef)}
+    builtin = {"RuntimeError", "NotImplementedError", "RecursionError"}
+    runtime = set(builtin)
+    while grown := {name for name in bases if bases[name] & runtime} - runtime:
+        runtime |= grown
+    assert runtime - builtin == {"CapExceeded"}
+    raisers = {
+        node.name for node in nodes if isinstance(node, ast.FunctionDef)
+        and any(isinstance(call, ast.Call) and ast.unparse(call.func) == "CapExceeded"
+                for call in ast.walk(node))
+    }
+    assert raisers == {"_check_cap"}
+    assert issubclass(broadcastdom.CapExceeded, RuntimeError)
 
 
 def test_no_function_calls_itself():

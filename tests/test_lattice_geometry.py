@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from broadcastdom import (
+    CapExceeded,
     SignedTuple,
-    EnumerationCapExceeded,
     ball_bijection,
     ball_size,
     delannoy,
@@ -134,13 +134,13 @@ def test_shell_enumerate_beyond_the_recursion_limit():
 
 def test_shell_enumerate_cap():
     # cap is on the ball size, not the shell size
-    with pytest.raises(EnumerationCapExceeded):
+    with pytest.raises(CapExceeded):
         shell_enumerate(3, 3, cap=ball_size(3, 3) - 1)
     assert len(shell_enumerate(3, 3, cap=ball_size(3, 3))) == shell_size(3, 3)
     # a negative cap is a bad argument; 0 is a cap that every ball exceeds
     with pytest.raises(ValueError, match="^cap must be nonnegative$"):
         shell_enumerate(2, 3, cap=-1)
-    with pytest.raises(EnumerationCapExceeded):
+    with pytest.raises(CapExceeded):
         shell_enumerate(0, 0, cap=0)
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from broadcastdom import (
     DEFAULT_INDEX_CAP,
-    IndexCapExceeded,
+    CapExceeded,
     Params,
     SublatticePattern,
     TowerPattern,
@@ -30,6 +30,8 @@ from broadcastdom import (
 )
 from broadcastdom.lattice_geometry import _ball_walk
 from broadcastdom.pattern_engine import (
+    _PROFILE_SLOT_CAP,
+    _check_profiles,
     _coset_histogram,
     _middle_column,
     _row_profiles,
@@ -445,9 +447,9 @@ def test_lattice_receptions_match_tower():
 
 def test_lattice_index_cap():
     pat = SublatticePattern(((18, 0), (5, 1)))
-    with pytest.raises(IndexCapExceeded):
+    with pytest.raises(CapExceeded):
         is_dominating_lattice(Params(4, 2), pat, index_cap=17)
-    with pytest.raises(IndexCapExceeded):
+    with pytest.raises(CapExceeded):
         lattice_receptions(Params(4, 2), pat, index_cap=17)
     assert len(lattice_receptions(Params(4, 2), pat, index_cap=18)) == 18
     # a cap below 1 is a bad argument, as in lattice_search_3d
@@ -517,11 +519,11 @@ def test_lattice_search_3d_cap_validation():
 
 def test_tower_index_cap():
     params, pattern = Params(4, 2), TowerPattern(DEFAULT_INDEX_CAP + 1, 5)
-    with pytest.raises(IndexCapExceeded):
+    with pytest.raises(CapExceeded):
         tower_reception(params, pattern, 0)
-    with pytest.raises(IndexCapExceeded):
+    with pytest.raises(CapExceeded):
         reception_table(params, pattern)
-    with pytest.raises(IndexCapExceeded):
+    with pytest.raises(CapExceeded):
         is_dominating_tower(params, pattern)
 
 
@@ -541,12 +543,62 @@ def test_tower_search_refuses_a_top_above_the_cap_before_allocating(
     kwargs = {} if cap is None else {"index_cap": cap}
     tracemalloc.start()
     try:
-        with pytest.raises(IndexCapExceeded, match=message):
+        with pytest.raises(CapExceeded, match=message):
             search(params, **kwargs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("refuse, t, top", [
+    (lambda: min_density_search(Params(700, 1)), 700,
+     max_potential_d(2, Params(700, 1))),
+    (lambda: lattice_search_3d(Params(95, 1)), 95, DEFAULT_INDEX_CAP),
+    (lambda: _row_profiles(95, DEFAULT_INDEX_CAP), 95, DEFAULT_INDEX_CAP),
+    (lambda: reception_table(Params(1000, 1), TowerPattern(999_999, 0)),
+     1000, 999_999),
+], ids=["min_density_search", "lattice_search_3d", "_row_profiles",
+        "reception_table"])
+def test_row_profiles_refuse_their_slots_before_allocating(refuse, t, top):
+    # The top is within the coset cap, but t profiles of top slots each are
+    # not: they are refused before one of them is built.
+    assert top <= DEFAULT_INDEX_CAP and t * top > _PROFILE_SLOT_CAP
+    message = (
+        f"^row profiles have {t * top} slots, above the cap of {_PROFILE_SLOT_CAP}$"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=message):
+            refuse()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_check_profiles_sizes_the_largest_table3_cell():
+    # Cell (tmax, 1) has the largest t and the largest ceiling of its table.
+    for tmax in range(1, 25):
+        slots = [t * max_potential_d(2, Params(t, r))
+                 for t in range(1, tmax + 1) for r in range(1, t + 1)]
+        assert max(slots) == tmax * max_potential_d(2, Params(tmax, 1))
+    # What still fits is accepted without a search: nothing is allocated.
+    assert 171 * max_potential_d(2, Params(171, 1)) == 9_942_111
+    tracemalloc.start()
+    try:
+        for t, r in ((171, 1), (100, 50), (200, 100)):
+            assert _check_profiles(t, max_potential_d(2, Params(t, r))) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # The coset cap comes first, so its message is the one that a top above
+    # both caps gets.
+    with pytest.raises(CapExceeded, match="^row profiles have 10117900 slots"):
+        _check_profiles(172, max_potential_d(2, Params(172, 1)))
+    with pytest.raises(CapExceeded, match="^pattern has 1001113 cosets"):
+        _check_profiles(708, max_potential_d(2, Params(708, 1)))
 
 
 def test_tower_reception_memory_does_not_grow_with_d():

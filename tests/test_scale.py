@@ -153,11 +153,18 @@ def out_of_memory(child):
     assert child.err == "error: out of memory\n"
 
 
-def tower_cap_refused(child):
-    # The ceiling alone refuses the search: nothing is built before it.
-    assert child.err == (
-        "error: pattern has 1799940001 cosets, above the cap of 1000000\n"
-    )
+def refused(message):
+    # A cap refuses the command before it builds anything: one line on
+    # stderr, nothing on stdout.
+    def check(child):
+        assert (child.out, child.err) == ("", f"error: {message}\n")
+    return check
+
+
+NEEDS_RLIMIT_AS = pytest.mark.skipif(
+    not hasattr(resource, "RLIMIT_AS"),
+    reason="no address-space limit on this platform",
+)
 
 
 def indented_json(child):
@@ -212,21 +219,38 @@ def indented_json(child):
     # P40000 at (1, 1) needs more than 300,000 KB of address space.
     pytest.param(
         ["gamma", "P40000", "1", "1"], 60, 2, out_of_memory, 300_000,
-        id="gamma-out-of-memory",
-        marks=pytest.mark.skipif(
-            not hasattr(resource, "RLIMIT_AS"),
-            reason="no address-space limit on this platform",
-        ),
+        id="gamma-out-of-memory", marks=NEEDS_RLIMIT_AS,
     ),
     # The ceiling of (30000, 1) is 1,799,940,001 cosets; the search is
     # refused with it, under the same limit, before it allocates.
     pytest.param(
-        ["tower-search", "30000", "1"], 10, 2, tower_cap_refused, 300_000,
-        id="tower-search-cap-before-memory",
-        marks=pytest.mark.skipif(
-            not hasattr(resource, "RLIMIT_AS"),
-            reason="no address-space limit on this platform",
-        ),
+        ["tower-search", "30000", "1"], 10, 2,
+        refused("pattern has 1799940001 cosets, above the cap of 1000000"),
+        300_000, id="tower-search-cap-before-memory", marks=NEEDS_RLIMIT_AS,
+    ),
+    # Below the coset cap, t row profiles of d slots each are sized first:
+    # top 978,601 at t = 700, the clamped top 10^6 at t = 95 in Z^3, and
+    # d = 999,999 at t = 1000 would each need gigabytes of list slots.
+    pytest.param(
+        ["tower-search", "700", "1"], 10, 2,
+        refused("row profiles have 685020700 slots, above the cap of 10000000"),
+        400_000, id="tower-search-slots-before-memory", marks=NEEDS_RLIMIT_AS,
+    ),
+    pytest.param(
+        ["lattice-search3d", "95", "1"], 10, 2,
+        refused("row profiles have 95000000 slots, above the cap of 10000000"),
+        400_000, id="lattice-search3d-slots-before-memory", marks=NEEDS_RLIMIT_AS,
+    ),
+    pytest.param(
+        ["tower-table", "1000", "1", "999999", "0"], 10, 2,
+        refused("row profiles have 999999000 slots, above the cap of 10000000"),
+        400_000, id="tower-table-slots-before-memory", marks=NEEDS_RLIMIT_AS,
+    ),
+    # table3 sizes its largest cell, (708, 1), before it searches (1, 1).
+    pytest.param(
+        ["table3", "--tmax", "708"], 10, 2,
+        refused("pattern has 1001113 cosets, above the cap of 1000000"),
+        400_000, id="table3-cap-before-any-cell", marks=NEEDS_RLIMIT_AS,
     ),
     pytest.param(
         ["lattice-search3d", "5", "1"], 10, 0, lattice_search_5_1, None,
