@@ -15,13 +15,13 @@ The search meets the same subtree many times, within a deepening level and
 across levels: P7 x P7 at (2, 1) pushes 52,012 nodes over 4,737 distinct
 states. A subtree is fixed by its first candidate row, its deficits and the
 rows still to choose, so _min_cover keeps, for the whole call, the node
-count of every subtree that failed and pushed at least one node, and adds
-that count instead of walking the subtree again. Only failed subtrees are
-kept because one that finds a set ends the search. The memo takes no entries
-once it holds _MEMO_CAP, which bounds its memory where states rarely repeat.
-The tree, its visiting order, the witness and the node count are those of
-the full walk; a node budget that runs out inside a skipped subtree reports
-node_budget + 1 nodes, as the walk would have.
+count of every subtree that failed, dead ends that pushed no node included,
+and adds that count instead of walking the subtree again. Only failed
+subtrees are kept because one that finds a set ends the search. The memo
+takes no entries once it holds _MEMO_CAP, which bounds its memory where
+states rarely repeat. The tree, its visiting order, the witness and the
+node count are those of the full walk; a node budget that runs out inside a
+skipped subtree reports node_budget + 1 nodes, as the walk would have.
 """
 
 from __future__ import annotations
@@ -35,8 +35,10 @@ from .coverage_bounds import Params
 
 DEFAULT_NODE_BUDGET = 5_000_000
 # Most entries _min_cover keeps in its memo of failed subtrees; full, the
-# memo adds about 1.5 MB to the search on C10 x C10 at (3, 2).
-_MEMO_CAP = 1 << 14
+# memo adds about 3.1 MB to the search on C10 x C10 at (3, 2). P8 x P8 at
+# (2, 1) stores 20,040 frames, dead ends included; a cap of 1 << 14 fills
+# before it, and that search then takes 1.4 to 1.6 times as long.
+_MEMO_CAP = 1 << 15
 # Most vertices of any graph the library builds, parsed or constructed. The
 # search's memory grows with the square of the vertex count (P100000 at
 # (1, 1) peaks at 5.2 GB), so no graph above this bound can be solved.
@@ -335,9 +337,11 @@ def _min_cover(
     The child's subtree depends on u, child and m alone (its first
     candidate is u + 1, hi and mask follow from child and m - 1), so the
     memo failed maps the key child | (u * n + m), with u * n + m < n * n in
-    the w clear bits, to the nodes pushed below the child. A frame is
-    stored when it pops, and only if the subtree pushed a node: every pop is
-    a subtree that failed, since a set found below it returns at once. A
+    the w clear bits, to the nodes pushed below the child. Every frame is
+    stored when it pops, since every pop is a subtree that failed (a set
+    found below it returns at once). A dead end that pushed nothing is
+    stored with count 0, which spares the scan of its candidates when its
+    key comes back; a hit then adds 1 + 0, as the push would have. A
     candidate that passes the prunes costs one lookup; on a hit it adds 1
     plus the stored count to nodes and moves on, and a total over
     node_budget returns node_budget + 1, the count at which the walk would
@@ -418,7 +422,7 @@ def _min_cover(
                 if not stack:
                     break
                 u, hi, planes, m, mask, key, start = stack.pop()
-                if nodes > start and len(failed) < _MEMO_CAP:
+                if len(failed) < _MEMO_CAP:
                     failed[key] = nodes - start
                 u += 1
                 continue
@@ -435,8 +439,9 @@ def _min_cover(
             if not child:
                 # Frames hold increasing indices, so this is sorted.
                 return k, [frame[0] for frame in stack] + [u], upper, nodes
-            if m and not child & mask[u] and (
-                child.bit_count() <= m * gain_after[u]
+            # The gain prune rejects most candidates, so it runs first.
+            if m and child.bit_count() <= m * gain_after[u] and (
+                not child & mask[u]
             ):
                 key = child | (u * n + m)
                 below = failed.get(key)

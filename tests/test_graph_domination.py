@@ -295,12 +295,24 @@ def gamma_without_memo(*args, **kwargs):
         return gamma_exact(*args, **kwargs)
 
 
+# (expr, t, r) -> greedy upper bound of tori whose search outruns a budget
+# of TORUS_BUDGET nodes.
+TORUS_UPPER_BOUNDS = {("C10*C10", 3, 2): 17, ("C8*C8", 2, 1): 17}
+TORUS_BUDGET = 20000
+
+
 def test_memo_keeps_every_result():
     # The memo only skips subtrees whose node count it already knows, so
     # the status, gamma, witness, bound and node count all stay the same.
     for expr, t, r in GAMMA_NODE_COUNTS:
         g, params = parse_graph_expr(expr), Params(t, r)
         assert gamma_exact(g, params) == gamma_without_memo(g, params), (expr, t, r)
+    # Also where the budget runs out, on tori whose states rarely repeat.
+    for expr, t, r in TORUS_UPPER_BOUNDS:
+        g, params = parse_graph_expr(expr), Params(t, r)
+        with_memo = gamma_exact(g, params, node_budget=TORUS_BUDGET)
+        without = gamma_without_memo(g, params, node_budget=TORUS_BUDGET)
+        assert with_memo == without, (expr, t, r)
 
 
 def budget_run(g, params, budget):
@@ -397,12 +409,10 @@ def test_gamma_node_budget_edge():
 
 
 def test_gamma_node_budget_edge_on_tori():
-    # (expr, t, r) -> greedy upper bound; each search outruns the budget.
-    for (expr, t, r), upper in {
-        ("C10*C10", 3, 2): 17,
-        ("C8*C8", 2, 1): 17,
-    }.items():
-        result = gamma_exact(parse_graph_expr(expr), Params(t, r), node_budget=20000)
+    for (expr, t, r), upper in TORUS_UPPER_BOUNDS.items():
+        result = gamma_exact(
+            parse_graph_expr(expr), Params(t, r), node_budget=TORUS_BUDGET
+        )
         assert result.status == "cap-exceeded", (expr, t, r)
         assert (result.nodes, result.upper_bound) == (20001, upper), (expr, t, r)
         assert result.gamma is None and result.witness is None
@@ -449,11 +459,18 @@ def test_gamma_size_cap_sweep(expr, t, r):
 
 
 @st.composite
-def graph_exprs(draw, max_vertices=10):
-    """A product of P/C atoms with at most max_vertices vertices."""
+def graph_exprs(draw, max_vertices=10, max_atoms=None):
+    """A product of P/C atoms with at most max_vertices vertices.
+
+    With max_atoms, the product has at most that many atoms.
+    """
     factors = []
     size = 1
-    while not factors or (size * 2 <= max_vertices and draw(st.booleans())):
+    while not factors or (
+        len(factors) != max_atoms
+        and size * 2 <= max_vertices
+        and draw(st.booleans())
+    ):
         kind = draw(st.sampled_from("PC"))
         low = 1 if kind == "P" else 3
         if low * size > max_vertices:
@@ -494,6 +511,24 @@ def test_memo_keeps_every_result_on_random_products(
     assert gamma_exact(g, params, size_cap, budget) == gamma_without_memo(
         g, params, size_cap, budget
     )
+
+
+@PROPERTY
+@given(graph_exprs(max_vertices=36, max_atoms=2), st.integers(1, 3), st.data())
+def test_dead_ends_in_the_memo_keep_every_result(expr, t, data):
+    # Dead ends go in the memo with count 0, so a hit adds 1 + 0 nodes, as
+    # the push of a child that pushes nothing would. Every field agrees with
+    # the walk without the memo, also when a budget below the full count
+    # runs out on such a hit.
+    r = data.draw(st.integers(1, t))
+    g, params = parse_graph_expr(expr), Params(t, r)
+    full = gamma_exact(g, params)
+    assert full == gamma_without_memo(g, params)
+    budgets = st.integers(0, full.nodes - 1)
+    for budget in data.draw(st.lists(budgets, min_size=1, max_size=4)):
+        short = gamma_exact(g, params, node_budget=budget)
+        assert short == gamma_without_memo(g, params, node_budget=budget)
+        assert (short.status, short.nodes) == ("cap-exceeded", budget + 1)
 
 
 @st.composite
