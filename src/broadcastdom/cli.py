@@ -11,8 +11,8 @@ Progress chatter goes to stderr only.
 Each command returns `_emit(...)`: one json payload and one text block in, the
 exit code out. csv carries the payload's scalar fields under a header of their
 names (one row per table3 cell or vizing-scan pair). The payloads of gamma,
-verify-torus, verify-lemma2 and vizing-scan are read from the library's result
-records, so a new record field reaches the json without an edit here. shell
+verify-torus, verify-lemma2 and vizing-scan are `vars(record)` of the result
+records (gamma's after expr, t and r), so a new field reaches the json. shell
 --enumerate, genfunc, bijection, tower-table and lattice-check write their own
 csv rows, because their csv lays the data out differently from their json;
 lower-bound and gamma write theirs to flatten dims and witness into one cell.
@@ -483,28 +483,18 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_verify_lemma2(args) -> int:
     report = verify_cycle_lemma(args.params)
-    status = (
-        "not-applicable" if not report.applicable
-        else ("passed" if report.passed else "failed")
-    )
-    # status takes the place of the applicable and passed flags.
-    payload = {}
-    for key, value in vars(report).items():
-        if key == "applicable":
-            payload["status"] = status
-        elif key != "passed":
-            payload[key] = value
-    if not report.applicable:
+    if report.status == "not-applicable":
         text = f"not applicable: {report.note}"
-    elif report.passed:
+    elif report.status == "passed":
         text = (
             f"C_{report.n} under ({report.t},{report.r}): gamma = {report.gamma}, "
             f"canonical witness {report.canonical_witness} dominates: passed"
         )
     else:
         text = f"C_{report.n} under ({report.t},{report.r}): failed"
-    code = EXIT_FALSE if status == "failed" else EXIT_OK
-    return _emit(args, payload, text, ["t", "r", "n", "status", "gamma"], code=code)
+    code = EXIT_FALSE if report.status == "failed" else EXIT_OK
+    columns = ["t", "r", "n", "status", "gamma"]
+    return _emit(args, vars(report), text, columns, code=code)
 
 
 def _cmd_verify_torus(args) -> int:
@@ -545,21 +535,15 @@ def _cmd_vizing_scan(args) -> int:
     if not pairs:
         raise ValueError(f"{args.pairs}: no graph pairs found")
     reports = vizing_scan(pairs, args.params, node_budget=args.node_budget)
-    # Each pair: g and h, then the record's fields other than these four.
-    skip = ("expr_g", "expr_h", "t", "r")
-    records = [
-        {"g": rep.expr_g, "h": rep.expr_h,
-         **{key: value for key, value in vars(rep).items() if key not in skip}}
-        for rep in reports
-    ]
+    records = [vars(rep) for rep in reports]
     payload = {"t": args.t, "r": args.r, "pairs": records}
     lines = []
     for rep in reports:
         if rep.status != "exact":
-            lines.append(f"{rep.expr_g} x {rep.expr_h}: cap exceeded")
+            lines.append(f"{rep.g} x {rep.h}: cap exceeded")
             continue
         lines.append(
-            f"{rep.expr_g} x {rep.expr_h}: "
+            f"{rep.g} x {rep.h}: "
             f"gamma_t,r(GxH)={rep.gamma_product} "
             f"halved(G,H)={'holds' if rep.halved_product_holds_gh else 'FAILS'} "
             f"halved(H,G)={'holds' if rep.halved_product_holds_hg else 'FAILS'} "

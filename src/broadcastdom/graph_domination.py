@@ -505,18 +505,18 @@ def _gammas(graphs, params: Params, node_budget: int) -> tuple[Optional[int], ..
 class CycleLemmaReport:
     """Check that the cycle of length 2(t - r + 1) is dominated by 2 broadcasts.
 
-    applicable is False when t = r: the length would be 2, not a cycle.
+    status is "passed", "failed", or "not-applicable" when t = r: the length
+    would be 2, not a cycle.
     """
 
     t: int
     r: int
     n: int
-    applicable: bool
+    status: str
     gamma: Optional[int]
     witness: Optional[tuple[Label, ...]]
     canonical_witness: Optional[tuple[Label, ...]]
     canonical_receptions: Optional[tuple[int, ...]]
-    passed: Optional[bool]
     note: str
 
 
@@ -526,7 +526,7 @@ def verify_cycle_lemma(params: Params) -> CycleLemmaReport:
     n = 2 * (t - r + 1)
     if n < 3:
         return CycleLemmaReport(
-            t, r, n, False, None, None, None, None, None,
+            t, r, n, "not-applicable", None, None, None, None,
             "length 2(t-r+1) = 2 is not a cycle; needs t > r",
         )
     graph = FiniteGraph.cycle(n)
@@ -536,8 +536,8 @@ def verify_cycle_lemma(params: Params) -> CycleLemmaReport:
     canonical_ok = all(value >= r for value in receptions.values())
     passed = result.status == "exact" and result.gamma == 2 and canonical_ok
     return CycleLemmaReport(
-        t, r, n, True, result.gamma, result.witness, canonical,
-        tuple(receptions[v] for v in range(n)), passed, ""
+        t, r, n, "passed" if passed else "failed", result.gamma, result.witness,
+        canonical, tuple(receptions[v] for v in range(n)), ""
     )
 
 
@@ -604,7 +604,7 @@ def verify_torus_counterexample(
 
 @dataclass(frozen=True)
 class VizingPairReport:
-    """Product inequalities for one pair of graphs at one parameter pair.
+    """Product inequalities for the graph expressions g and h at the scan's (t, r).
 
     halved_product_holds_gh: 2 * gamma_{t,r}(G box H) >= gamma_{t,r}(G) *
     gamma_{t,1}(H); _hg swaps the roles. distance_product_holds:
@@ -612,10 +612,8 @@ class VizingPairReport:
     None when any underlying search hit its cap.
     """
 
-    expr_g: str
-    expr_h: str
-    t: int
-    r: int
+    g: str
+    h: str
     status: str
     gamma_g: Optional[int]
     gamma_h: Optional[int]
@@ -650,6 +648,6 @@ def vizing_scan(
             status = "exact"
             holds = (2 * gh_r >= g_r * h_1, 2 * gh_r >= h_r * g_1, gh_1 >= g_1 * h_1)
         reports.append(
-            VizingPairReport(expr_g, expr_h, t, r, status, *at_r, *at_1, *holds)
+            VizingPairReport(expr_g, expr_h, status, *at_r, *at_1, *holds)
         )
     return reports

@@ -26,7 +26,10 @@ from hypothesis import strategies as st
 import broadcastdom.graph_domination as graph_domination
 from broadcastdom import (
     CycleLemmaReport,
+    GammaResult,
     Params,
+    TorusReport,
+    VizingPairReport,
     ball_size,
     cli,
     gamma_exact,
@@ -444,14 +447,15 @@ def test_verify_lemma2(capsys):
     assert "not applicable" in out
 
 
+# No (t, r) fails the lemma, so tests inject this failed report.
+FAILED_LEMMA = CycleLemmaReport(
+    t=3, r=2, n=4, status="failed", gamma=3, witness=(0, 1, 2),
+    canonical_witness=(0, 2), canonical_receptions=(3, 1, 3, 1), note="",
+)
+
+
 def test_verify_lemma2_failed_report(capsys, monkeypatch):
-    # No (t, r) fails the lemma, so the failed report is injected.
-    failed = CycleLemmaReport(
-        t=3, r=2, n=4, applicable=True, gamma=3, witness=(0, 1, 2),
-        canonical_witness=(0, 2), canonical_receptions=(3, 1, 3, 1),
-        passed=False, note="",
-    )
-    monkeypatch.setattr(cli, "verify_cycle_lemma", lambda params: failed)
+    monkeypatch.setattr(cli, "verify_cycle_lemma", lambda params: FAILED_LEMMA)
     argv = ("verify-lemma2", "3", "2")
     assert run(capsys, *argv) == (1, "C_4 under (3,2): failed\n", "")
     code, out, _ = run(capsys, *argv, "--format", "json", "--no-timestamp")
@@ -619,6 +623,33 @@ def test_json_carries_every_record_field(capsys, monkeypatch, argv, solver):
     doc = json.loads(out)
     for record in doc.get("pairs", [doc]):
         assert record["stats"] == {"levels": 3}
+
+
+@pytest.mark.parametrize("argv, record, head, injected", [
+    (["gamma", "C6", "2", "2"], GammaResult, ["expr", "t", "r"], None),
+    (["verify-lemma2", "3", "2"], CycleLemmaReport, [], None),
+    (["verify-lemma2", "2", "2"], CycleLemmaReport, [], None),
+    (["verify-lemma2", "3", "2"], CycleLemmaReport, [], FAILED_LEMMA),
+    (["verify-torus", "3", "2"], TorusReport, [], None),
+    (["vizing-scan", "--pairs", PAIRS, "2", "1"], VizingPairReport,
+     ["t", "r", "pairs"], None),
+], ids=["gamma", "verify-lemma2-passed", "verify-lemma2-not-applicable",
+        "verify-lemma2-failed", "verify-torus", "vizing-scan"])
+def test_report_is_its_record(capsys, monkeypatch, argv, record, head, injected):
+    # After the command's own head, the json keys are the record's fields in
+    # order; vizing-scan has one record per pair, and its csv header too.
+    if injected is not None:
+        monkeypatch.setattr(cli, "verify_cycle_lemma", lambda params: injected)
+    names = [field.name for field in dataclasses.fields(record)]
+    _, out, _ = run(capsys, *argv, "--format", "json", "--no-timestamp")
+    doc = json.loads(out)
+    if record is not VizingPairReport:
+        assert list(doc) == ["command", *head, *names]
+        return
+    assert list(doc) == ["command", *head]
+    assert [list(pair) for pair in doc["pairs"]] == [names] * len(doc["pairs"])
+    _, out, _ = run(capsys, *argv, "--format", "csv")
+    assert next(csv.reader(io.StringIO(out))) == names
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

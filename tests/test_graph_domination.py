@@ -641,7 +641,7 @@ def test_solvers_do_not_read_the_distance_table(monkeypatch):
     assert result.witness == ((1, 3), (3, 1), (3, 5), (5, 3))
     cycle = verify_cycle_lemma(Params(4, 2))
     assert (cycle.n, cycle.gamma, cycle.witness) == (6, 2, (0, 1))
-    assert cycle.canonical_receptions == (5,) * 6 and cycle.passed
+    assert cycle.canonical_receptions == (5,) * 6 and cycle.status == "passed"
     torus = verify_torus_counterexample(Params(3, 2))
     assert (torus.gamma_torus, torus.gamma_cycle, torus.min_reception) == (2, 2, 2)
     assert torus.passed
@@ -703,20 +703,26 @@ def test_verify_cycle_lemma_frozen():
     }
     for (t, r), (n, receptions) in expected.items():
         report = verify_cycle_lemma(Params(t, r))
-        assert report.applicable
+        assert report.status == "passed"
         assert report.n == n
         assert report.gamma == 2
         assert report.canonical_witness == (0, n // 2)
         assert report.canonical_receptions == receptions
-        assert report.passed
 
 
 def test_verify_cycle_lemma_not_applicable():
     for t in (1, 2, 5):
         report = verify_cycle_lemma(Params(t, t))
-        assert not report.applicable
+        assert report.status == "not-applicable"
         assert report.gamma is None
-        assert report.passed is None
+
+
+def test_verify_cycle_lemma_over_a_range():
+    # Lemma 2 for every 1 <= r <= t <= 8: cycles of at most 16 vertices.
+    for t in range(1, 9):
+        for r in range(1, t + 1):
+            expected = "not-applicable" if t == r else "passed"
+            assert verify_cycle_lemma(Params(t, r)).status == expected, (t, r)
 
 
 def test_verify_torus_frozen():
