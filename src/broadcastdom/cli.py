@@ -40,7 +40,7 @@ import json
 import math
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -96,14 +96,6 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
-
-
-def _parse_basis(text: str) -> tuple[tuple[int, ...], ...]:
-    # Columns separated by ';', entries by ',': "18,0;5,1".
-    cols = []
-    for part in text.split(";"):
-        cols.append(tuple(_parse_int_list(part, "--basis")))
-    return tuple(cols)
 
 
 _CHUNK = 4096  # pieces joined into each chunk of a json body
@@ -206,12 +198,13 @@ def _point_str(point) -> str:
     return "(" + ", ".join(str(x) for x in point) + ")"
 
 
-def _count(key: str, fn, *inputs):
-    # A count command: its int positionals, then fn(*inputs or positionals) under key.
+def _count(key: str, fn, *inputs, **fields):
+    # A count command: its int positionals, then fn(*inputs or positionals) under
+    # key, then the constant fields.
     def cmd(args) -> int:
         payload = {name: getattr(args, name) for name in args.ints}
         payload[key] = str(fn(*(getattr(args, name) for name in inputs or args.ints)))
-        return _emit(args, payload, payload[key])
+        return _emit(args, {**payload, **fields}, payload[key])
     return cmd
 
 
@@ -275,17 +268,10 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    if args.closed_form:
-        value = coverage_closed_form(args.n, args.params)
-        method = "closed-form"
-    else:
-        value = coverage(args.n, args.params)
-        method = "sum"
-    payload = {
-        "n": args.n, "t": args.t, "r": args.r,
-        "coverage": str(value), "method": method,
-    }
-    return _emit(args, payload, str(value))
+    fn, method = (
+        (coverage_closed_form, "closed-form") if args.closed_form else (coverage, "sum")
+    )
+    return _count("coverage", fn, "n", "params", method=method)(args)
 
 
 def _cmd_lower_bound(args) -> int:
@@ -399,7 +385,8 @@ def _cmd_table3(args) -> int:
 
 
 def _cmd_lattice_check(args) -> int:
-    pattern = SublatticePattern(_parse_basis(args.basis))
+    cols = args.basis.split(";")  # columns by ';', entries by ',': "18,0;5,1"
+    pattern = SublatticePattern([_parse_int_list(col, "--basis") for col in cols])
     receptions = lattice_receptions(args.params, pattern, args.index_cap)
     # A coset that no offset reaches reads 0 < r.
     dominating = all(v >= args.r for v in receptions.values())
@@ -695,7 +682,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
         # str(MemoryError()) is empty
         message = "out of memory" if isinstance(exc, MemoryError) else exc
-        print(f"error: {message}", file=sys.stderr)
+        with suppress(OSError):  # stderr may be the pipe that closed on stdout
+            print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR
     finally:
         set_digits(limit)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .coverage_bounds import Params
@@ -70,7 +71,9 @@ class FiniteGraph:
     def __init__(
         self, labels: Sequence[Label], edges: Iterable[tuple[Label, Label]]
     ) -> None:
-        self._labels = tuple(labels)
+        # At most one label past the bound is read before the refusal.
+        self._labels = tuple(islice(labels, _MAX_EXPR_VERTICES + 1))
+        _check_size(len(self._labels))
         self._index = {lab: i for i, lab in enumerate(self._labels)}
         if len(self._index) != len(self._labels):
             raise ValueError("duplicate vertex label")

@@ -6,13 +6,15 @@ constant on cosets. T(d,e) is the SublatticePattern with basis ((d,0),(e,1)).
 Towers of Z^n, broadcasts at (m*d + y.e, y) for y in Z^(n-1), are searched
 in Z^2 and Z^3 by _tower_search, from the coverage ceiling (lowered to a
 caller's cap) down; _check_profiles refuses a top before any work. The
-tent t - |y|_1 - |x| is summed only into the row profiles, indexed by
-|y|_1 and stepped in place from one d to the next. At each d, one scatter
-of the ball (_middle_column) gives column d // 2's reception for every
-last coordinate of the shift vector e at once, and each e below r there
-is dropped; the rest are walked over the profiles, rotated for each e, as
-are reception_table's rows. Every other reception reads the coset
-histogram, a dict from reached box representatives to receptions. All
+tent t - |y|_1 - |x| is summed in three places. The row profiles, indexed
+by |y|_1 and stepped in place from one d to the next, hold it per row of
+broadcasts. At each d, one scatter of the ball (_middle_column) sums it
+for every row with d not dividing y_last (the others read their profile)
+and gives column d // 2's reception for every last coordinate of the
+shift vector e at once; each e below r there is dropped, and the rest are
+walked over the profiles, rotated for each e, as are reception_table's
+rows. The coset histogram, a dict from reached box representatives to
+receptions, sums it for every other, single-pattern reception. All
 share the cap of DEFAULT_INDEX_CAP cosets; the t row profiles of d slots
 each also share the cap of _PROFILE_SLOT_CAP slots. Every cap refuses
 through _check_cap with the one CapExceeded.
@@ -146,11 +148,6 @@ def reception_table(params: Params, pattern: TowerPattern) -> ReceptionProfile:
         rows.append((y, tuple(row[cut:] + row[:cut])))
     totals = tuple(map(sum, zip(*(vec for _, vec in rows))))
     return ReceptionProfile(str(pattern), totals, tuple(rows))
-
-
-def is_dominating_tower(params: Params, pattern: TowerPattern) -> bool:
-    """Whether the tower dominates: is_dominating_lattice on its basis."""
-    return is_dominating_lattice(params, pattern)
 
 
 def _shift_vectors(n: int, d: int) -> Iterator[tuple[int, ...]]:
@@ -418,6 +415,9 @@ def is_dominating_lattice(
     _check_index(pattern.index, index_cap)
     hist = _coset_histogram(params.t, pattern.basis)
     return len(hist) == pattern.index and min(hist.values()) >= params.r
+
+
+is_dominating_tower = is_dominating_lattice  # a TowerPattern is a SublatticePattern
 
 
 def lattice_search_3d(

@@ -2,8 +2,9 @@
 
 Commands run in-process through main(argv) so exit codes and both output
 streams are observable; subprocess tests confirm the module entry point
-works outside the test harness and that importing the CLI leaves the
-standard-library modules it does not need unloaded.
+works outside the test harness, that a reader closing the pipe early gets
+exit 2, and that importing the CLI leaves the standard-library modules it
+does not need unloaded.
 """
 
 import csv
@@ -770,6 +771,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "12\n"
+
+
+@pytest.mark.parametrize("stderr, message", [
+    (subprocess.STDOUT, None),
+    (subprocess.PIPE, b"error: [Errno 32] Broken pipe\n"),
+], ids=["stderr-joined", "stderr-own-pipe"])
+def test_closed_pipe_exits_2(stderr, message):
+    # `shell 3 60 --enumerate 2>&1 | head -1`: the reader closes the pipe after
+    # one line of a report larger than the pipe's buffer. The exit is 2 even
+    # when the error line shares that closed pipe, never the 1 of a verdict.
+    with subprocess.Popen(
+        [sys.executable, "-m", "broadcastdom", "shell", "3", "60", "--enumerate"],
+        stdout=subprocess.PIPE, stderr=stderr,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+    ) as proc:
+        assert proc.stdout.readline() == b"(-60, 0, 0)\n"
+        proc.stdout.close()
+        err = proc.stderr.read() if proc.stderr else None
+        assert proc.wait(timeout=60) == 2
+    assert err == message
 
 
 def test_cli_import_skips_unused_stdlib_modules():

@@ -12,8 +12,10 @@ Regenerate the fixture only when an output change is intended:
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
+import hashlib
 import json
 import os
+import runpy
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -25,6 +27,7 @@ from broadcastdom.cli import main
 
 FIXTURE_DIR = Path(__file__).parent / "data"
 GOLDEN = FIXTURE_DIR / "cli_golden.json"
+BENCH_DIR = Path(__file__).parent.parent / "bench"
 
 FORMATS = ([], ["--format", "json", "--no-timestamp"], ["--format", "csv"])
 
@@ -92,16 +95,16 @@ USAGE_ERRORS = [
 CASES = [argv + fmt for argv in REPORTS for fmt in FORMATS] + ERRORS
 
 
-def capture(argv: list[str]) -> dict:
-    """Run main(argv) from the fixture directory; return its exit and output."""
+def capture(argv: list[str], cwd: Path = FIXTURE_DIR) -> dict:
+    """Run main(argv) from cwd (the fixture directory); return exit and output."""
     out, err = StringIO(), StringIO()
-    cwd = os.getcwd()
-    os.chdir(FIXTURE_DIR)
+    here = os.getcwd()
+    os.chdir(cwd)
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     finally:
-        os.chdir(cwd)
+        os.chdir(here)
     return {"argv": argv, "exit": code, "stdout": out.getvalue(),
             "stderr": err.getvalue()}
 
@@ -143,6 +146,22 @@ def test_reused_parser_keeps_golden_bytes(golden, tmp_path):
     assert (got["exit"], got["stdout"]) == (expected[tuple(report)]["exit"], "")
     assert target.read_text(encoding="utf-8") == expected[tuple(report)]["stdout"]
     assert capture(report) == expected[tuple(report)]
+
+
+def test_benchmark_workloads_match_their_golden_digests():
+    # Every invocation of the benchmark's workloads, run from the repository
+    # root as the benchmark runs them, keeps its exit code and the sha256 of
+    # its stdout pinned in bench/golden.json. Both files are only read here.
+    workloads = runpy.run_path(str(BENCH_DIR / "workloads.py"))["WORKLOADS"]
+    digests = json.loads((BENCH_DIR / "golden.json").read_text(encoding="utf-8"))
+    invocations = [inv for invs in workloads.values() for inv in invs]
+    assert len(invocations) == len(digests) == 29
+    for inv in invocations:
+        got = capture(list(inv.argv), cwd=BENCH_DIR.parent)
+        digest = hashlib.sha256(got["stdout"].encode("utf-8")).hexdigest()
+        assert (inv.key, got["exit"], digest) == (
+            inv.key, inv.exit_code, digests[inv.key]["sha256"]
+        )
 
 
 if __name__ == "__main__":

@@ -152,12 +152,15 @@ def test_parentheses_nest_beyond_the_recursion_limit():
     lambda: FiniteGraph.cycle(13),
     lambda: P(3).box_product(C(5)),
     lambda: parse_graph_expr("P3").box_product(parse_graph_expr("P2*P3")),
-], ids=["path", "cycle", "box-product", "box-of-products"])
+    lambda: FiniteGraph(range(13), []),
+], ids=["path", "cycle", "box-product", "box-of-products", "constructor"])
 def test_constructors_refuse_graphs_above_the_bound(build):
     # Every graph the library builds is bounded, not only parsed expressions:
-    # at a bound of 12, P12 and P3 x P4 are built and anything larger is not.
+    # at a bound of 12, P12, P3 x P4 and 12 bare labels are built and anything
+    # larger is not.
     with mock.patch.object(graph_domination, "_MAX_EXPR_VERTICES", 12):
         assert FiniteGraph.path(12).vertex_count == 12
+        assert FiniteGraph(range(12), []).vertex_count == 12
         assert C(12).vertex_count == P(3).box_product(P(4)).vertex_count == 12
         with pytest.raises(ValueError) as err:
             build()
@@ -179,6 +182,17 @@ def test_constructors_refuse_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def test_constructor_reads_one_label_past_the_bound():
+    # FiniteGraph(range(5 * 10**6), []) would otherwise hold five million
+    # labels before it refused them.
+    read = []
+    labels = (read.append(i) or i for i in range(100))
+    with mock.patch.object(graph_domination, "_MAX_EXPR_VERTICES", 12):
+        with pytest.raises(ValueError, match="^graph has more than 12 vertices$"):
+            FiniteGraph(labels, [])
+    assert read == list(range(13))
 
 
 @pytest.mark.parametrize("fn, args, message", [

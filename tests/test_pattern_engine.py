@@ -433,7 +433,9 @@ def test_lattice_receptions_match_tower():
         assert is_dominating_lattice(params, lattice) == is_dominating_tower(
             params, tower
         )
-        # A tower is the sublattice with basis ((d,0),(e,1)).
+        # A tower is the sublattice with basis ((d,0),(e,1)), checked by the
+        # lattice's own function under a second name.
+        assert is_dominating_tower is is_dominating_lattice
         assert isinstance(tower, SublatticePattern)
         assert tower.basis == ((d, 0), (e, 1))
         assert tower.index == d
