@@ -8,106 +8,15 @@ searches periodic broadcast patterns on the infinite grid, and solves small
 finite graphs exactly. All arithmetic is integer-exact; nothing is random.
 """
 
-from .coverage_bounds import (
-    GridDims,
-    Params,
-    coverage,
-    coverage_closed_form,
-    domination_lower_bound,
-    max_potential_d,
-)
-from .graph_domination import (
-    CycleLemmaReport,
-    FiniteGraph,
-    GammaResult,
-    GraphExprError,
-    TorusReport,
-    VizingPairReport,
-    gamma_exact,
-    is_dominating_set,
-    parse_graph_expr,
-    reception_map,
-    verify_cycle_lemma,
-    verify_torus_counterexample,
-    vizing_scan,
-)
-from .lattice_geometry import (
-    DEFAULT_ENUMERATION_CAP,
-    GENFUNC_KINDS,
-    CapExceeded,
-    LatticePoint,
-    SignedTuple,
-    TupleSequence,
-    ball_bijection,
-    ball_size,
-    delannoy,
-    genfunc_coefficients,
-    shell_enumerate,
-    shell_size,
-    tuple_decode,
-    tuple_encode,
-)
-from .pattern_engine import (
-    DEFAULT_INDEX_CAP,
-    ReceptionProfile,
-    SublatticePattern,
-    TowerPattern,
-    hermite_normal_form,
-    is_dominating_lattice,
-    is_dominating_tower,
-    lattice_receptions,
-    lattice_search_3d,
-    min_density_search,
-    reception_table,
-    tower_reception,
-)
+from . import coverage_bounds, graph_domination, lattice_geometry, pattern_engine
+from .coverage_bounds import *
+from .graph_domination import *
+from .lattice_geometry import *
+from .pattern_engine import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_ENUMERATION_CAP",
-    "DEFAULT_INDEX_CAP",
-    "GENFUNC_KINDS",
-    "CapExceeded",
-    "CycleLemmaReport",
-    "FiniteGraph",
-    "GammaResult",
-    "GraphExprError",
-    "GridDims",
-    "LatticePoint",
-    "Params",
-    "ReceptionProfile",
-    "SignedTuple",
-    "SublatticePattern",
-    "TorusReport",
-    "TowerPattern",
-    "TupleSequence",
-    "VizingPairReport",
-    "ball_bijection",
-    "ball_size",
-    "coverage",
-    "coverage_closed_form",
-    "delannoy",
-    "domination_lower_bound",
-    "gamma_exact",
-    "genfunc_coefficients",
-    "hermite_normal_form",
-    "is_dominating_lattice",
-    "is_dominating_set",
-    "is_dominating_tower",
-    "lattice_receptions",
-    "lattice_search_3d",
-    "max_potential_d",
-    "min_density_search",
-    "parse_graph_expr",
-    "reception_map",
-    "reception_table",
-    "shell_enumerate",
-    "shell_size",
-    "tower_reception",
-    "tuple_decode",
-    "tuple_encode",
-    "verify_cycle_lemma",
-    "verify_torus_counterexample",
-    "vizing_scan",
+    *coverage_bounds.__all__, *graph_domination.__all__,
+    *lattice_geometry.__all__, *pattern_engine.__all__,
 ]

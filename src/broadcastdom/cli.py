@@ -77,6 +77,7 @@ from .lattice_geometry import (
 )
 from .pattern_engine import (
     DEFAULT_INDEX_CAP,
+    _PROFILE_SLOT_CAP,
     SublatticePattern,
     TowerPattern,
     _check_profiles,
@@ -633,8 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "sparsest dominating tower-form pattern in Z^3", "t r")
     p.add_argument("--cap", type=int, default=DEFAULT_INDEX_CAP,
                    help="largest pattern index to try; no tower search tries more "
-                   f"than {DEFAULT_INDEX_CAP} cosets or holds more than 10**7 profile "
-                   "slots (t * index), whatever --cap says")
+                   f"than {DEFAULT_INDEX_CAP} cosets or holds more than "
+                   f"{_PROFILE_SLOT_CAP} profile slots (t * index), whatever "
+                   "--cap says")
 
     p = command("gamma", _cmd_gamma, "exact minimum dominating set of a small graph")
     p.add_argument("expr", help="graph expression, e.g. P5*P5 or C4*C4")

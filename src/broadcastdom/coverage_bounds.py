@@ -14,6 +14,11 @@ from dataclasses import dataclass
 
 from .lattice_geometry import ball_size
 
+__all__ = [
+    "GridDims", "Params", "coverage", "coverage_closed_form",
+    "domination_lower_bound", "max_potential_d",
+]
+
 
 @dataclass(frozen=True)
 class Params:

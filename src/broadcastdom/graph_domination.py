@@ -34,6 +34,13 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 from .coverage_bounds import Params
 
+__all__ = [
+    "CycleLemmaReport", "FiniteGraph", "GammaResult", "GraphExprError",
+    "TorusReport", "VizingPairReport", "gamma_exact", "is_dominating_set",
+    "parse_graph_expr", "reception_map", "verify_cycle_lemma",
+    "verify_torus_counterexample", "vizing_scan",
+]
+
 DEFAULT_NODE_BUDGET = 5_000_000
 # Most entries _min_cover keeps in its memo of failed subtrees; full, the
 # memo adds about 3.1 MB to the search on C10 x C10 at (3, 2). P8 x P8 at

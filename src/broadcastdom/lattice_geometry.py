@@ -19,6 +19,13 @@ from itertools import accumulate, chain
 from operator import add
 from typing import Iterator
 
+__all__ = [
+    "DEFAULT_ENUMERATION_CAP", "GENFUNC_KINDS", "CapExceeded", "LatticePoint",
+    "SignedTuple", "TupleSequence", "ball_bijection", "ball_size", "delannoy",
+    "genfunc_coefficients", "shell_enumerate", "shell_size", "tuple_decode",
+    "tuple_encode",
+]
+
 LatticePoint = tuple[int, ...]
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -127,9 +134,9 @@ def shell_enumerate(
             for x in ((-left, left) if left else (0,))]
 
 
-def _binomial_poly(k: int) -> list[int]:
-    # Coefficients of (1 + x)^k, constant term first.
-    return [math.comb(k, i) for i in range(k + 1)]
+def _binomial_poly(k: int, count: int) -> list[int]:
+    # The first count coefficients of (1 + x)^k, constant term first.
+    return [math.comb(k, i) for i in range(count)]
 
 
 def genfunc_coefficients(
@@ -178,19 +185,19 @@ def genfunc_coefficients(
         raise ValueError("fixed parameter must be nonnegative")
     count = max_index + 1
 
-    # The numerator and the power k of the denominator (1 - x)^k.
+    # The numerator's first count terms, the only ones that reach the
+    # coefficients, and the power k of the denominator (1 - x)^k.
     if kind in ("B_fixed_d", "B_fixed_n"):
-        num, k = _binomial_poly(fixed), fixed + 1
+        coeffs, k = _binomial_poly(fixed, count), fixed + 1
     elif kind == "S_fixed_d":
         if fixed == 0:
-            num, k = [1], 1
+            coeffs, k = _binomial_poly(0, count), 1
         else:
-            num = [0] + [2 * c for c in _binomial_poly(fixed - 1)]
+            coeffs = [0] + [2 * c for c in _binomial_poly(fixed - 1, count - 1)]
             k = fixed + 1
     else:  # S_fixed_n
-        num, k = _binomial_poly(fixed), fixed
+        coeffs, k = _binomial_poly(fixed, count), fixed
     # Dividing a series by 1 - x takes its running sums.
-    coeffs = (num + [0] * count)[:count]
     for _ in range(k):
         coeffs = list(accumulate(coeffs))
     return coeffs

@@ -31,6 +31,13 @@ from typing import Callable, Iterator, Sequence
 from .coverage_bounds import Params, max_potential_d
 from .lattice_geometry import LatticePoint, _ball_walk, _check_cap
 
+__all__ = [
+    "DEFAULT_INDEX_CAP", "ReceptionProfile", "SublatticePattern", "TowerPattern",
+    "hermite_normal_form", "is_dominating_lattice", "is_dominating_tower",
+    "lattice_receptions", "lattice_search_3d", "min_density_search",
+    "reception_table", "tower_reception",
+]
+
 DEFAULT_INDEX_CAP = 10**6
 _PROFILE_SLOT_CAP = 10**7  # ints held by the t row profiles of d slots each
 
@@ -342,6 +349,13 @@ class SublatticePattern:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "basis", hermite_normal_form(self.basis))
+
+    def __eq__(self, other: object) -> bool:
+        # By basis alone, so a TowerPattern equals the lattice it is; the
+        # dataclass still generates the matching hash of the basis.
+        if not isinstance(other, SublatticePattern):
+            return NotImplemented
+        return self.basis == other.basis
 
     @property
     def n(self) -> int:

@@ -670,6 +670,17 @@ def test_output_flag_writes_file(tmp_path, capsys):
         assert target.read_text() == printed
 
 
+def test_lattice_search3d_help_reads_both_caps(capsys):
+    # The help text is built from the constants, not copied from them.
+    from broadcastdom.pattern_engine import DEFAULT_INDEX_CAP, _PROFILE_SLOT_CAP
+
+    with mock.patch.dict(os.environ, {"COLUMNS": "200"}):
+        assert main(["lattice-search3d", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert (f"more than {DEFAULT_INDEX_CAP} cosets or holds more than "
+            f"{_PROFILE_SLOT_CAP} profile slots") in out
+
+
 def test_unknown_subcommand_and_seedless(capsys):
     code = main(["no-such-command"])
     capsys.readouterr()
@@ -812,19 +823,59 @@ def test_cli_import_skips_unused_stdlib_modules():
         assert name not in loaded, name
 
 
+PACKAGE_MODULES = ("coverage_bounds", "graph_domination", "lattice_geometry",
+                   "pattern_engine")
+PUBLIC_NAMES = sorted("""
+    DEFAULT_ENUMERATION_CAP DEFAULT_INDEX_CAP GENFUNC_KINDS CapExceeded
+    CycleLemmaReport FiniteGraph GammaResult GraphExprError GridDims LatticePoint
+    Params ReceptionProfile SignedTuple SublatticePattern TorusReport TowerPattern
+    TupleSequence VizingPairReport ball_bijection ball_size coverage
+    coverage_closed_form delannoy domination_lower_bound gamma_exact
+    genfunc_coefficients hermite_normal_form is_dominating_lattice
+    is_dominating_set is_dominating_tower lattice_receptions lattice_search_3d
+    max_potential_d min_density_search parse_graph_expr reception_map
+    reception_table shell_enumerate shell_size tower_reception tuple_decode
+    tuple_encode verify_cycle_lemma verify_torus_counterexample vizing_scan
+""".split())
+
+
+def test_each_module_declares_its_exports():
+    # The package exports the 45 names, every public name it binds that is
+    # not a module, and each is defined in the module whose __all__ lists it.
+    import ast
+    import importlib
+    import types
+
+    import broadcastdom
+
+    assert sorted(broadcastdom.__all__) == PUBLIC_NAMES
+    public = {name for name, value in vars(broadcastdom).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(PUBLIC_NAMES)
+    for module in PACKAGE_MODULES:
+        tree = ast.parse((SRC_DIR / "broadcastdom" / f"{module}.py").read_text(encoding="utf-8"))
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        exported = importlib.import_module(f"broadcastdom.{module}").__all__
+        assert set(exported) <= defined, module
+
+
 def test_one_cap_exception_and_no_stale_export():
-    # __all__ lists exactly what __init__ imports, and every cap refuses
+    # __all__ joins the library modules' own lists, and every cap refuses
     # with CapExceeded, the one RuntimeError subclass, raised only by
     # _check_cap: a new search cannot bring a limit type of its own.
     import ast
+    import importlib
 
     import broadcastdom
 
     package = SRC_DIR / "broadcastdom"
-    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
-    imported = [alias.name for node in init.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert sorted(broadcastdom.__all__) == sorted(imported)
+    assert broadcastdom.__all__ == [
+        name for module in PACKAGE_MODULES
+        for name in importlib.import_module(f"broadcastdom.{module}").__all__
+    ]
     nodes = [node for path in sorted(package.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
     bases = {node.name: {ast.unparse(base).split(".")[-1] for base in node.bases}

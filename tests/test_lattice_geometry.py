@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 
 import pytest
 
@@ -167,6 +168,22 @@ def test_genfunc_univariate_kinds():
         assert genfunc_coefficients("S_fixed_n", 80, fixed=fixed) == [
             shell_size(fixed, j) for j in range(81)
         ]
+
+
+def test_genfunc_builds_only_the_printed_terms():
+    # Three coefficients at fixed = 16,000 need three numerator terms. Built
+    # in full, the 16,001 binomials took 22 s for B_fixed_d alone.
+    fixed = 16_000
+    expected = {
+        "B_fixed_d": [ball_size(i, fixed) for i in range(3)],
+        "B_fixed_n": [ball_size(fixed, j) for j in range(3)],
+        "S_fixed_d": [shell_size(i, fixed) for i in range(3)],
+        "S_fixed_n": [shell_size(fixed, j) for j in range(3)],
+    }
+    for kind, coeffs in expected.items():
+        start = time.perf_counter()
+        assert genfunc_coefficients(kind, 2, fixed=fixed) == coeffs, kind
+        assert time.perf_counter() - start < 1, kind
 
 
 def test_shell_gf_denominator_sign():

@@ -390,6 +390,17 @@ def test_sublattice_equality_after_normalization():
     assert a.basis == b.basis
 
 
+def test_tower_equals_the_lattice_it_is():
+    # Equality reads the basis alone, in both directions, with equal hashes.
+    tower, lattice = TowerPattern(18, 5), SublatticePattern(((18, 0), (5, 1)))
+    assert tower == lattice and lattice == tower
+    assert len({tower, lattice}) == 1
+    assert TowerPattern(18, 5) != TowerPattern(19, 5)
+    assert lattice != lattice.basis
+    assert repr(tower) == "TowerPattern(d=18, e=5)"
+    assert repr(lattice) == "SublatticePattern(basis=((18, 0), (5, 1)))"
+
+
 @pytest.mark.parametrize("d, e", [(1, 0), (5, 2), (18, 5), (1262, 495)])
 def test_tower_repr_evaluates_back(d, e):
     tower = TowerPattern(d, e)
@@ -440,11 +451,10 @@ def test_lattice_receptions_match_tower():
         assert tower.basis == ((d, 0), (e, 1))
         assert tower.index == d
         assert lattice_receptions(params, tower) == recs
-        # Towers compare by basis; a tower stays unequal to the plain lattice.
-        assert tower == TowerPattern(d, e)
-        assert hash(tower) == hash(TowerPattern(d, e))
+        # Towers compare by basis, with the plain lattice of that basis too.
+        assert tower == TowerPattern(d, e) == lattice
+        assert hash(tower) == hash(TowerPattern(d, e)) == hash(lattice)
         assert tower != TowerPattern(d + 1, e)
-        assert tower != lattice
 
 
 def test_lattice_index_cap():

@@ -149,6 +149,11 @@ def lattice_search_6_2(child):
     assert child.out == "L(154,0,0; 7,1,0; 43,0,1)\n"
 
 
+def genfunc_three_terms(child):
+    # ball_size(k, 16000) for k = 0, 1, 2, from three numerator terms.
+    assert child.out == "1 32001 512032001\n"
+
+
 def out_of_memory(child):
     assert child.err == "error: out of memory\n"
 
@@ -251,6 +256,10 @@ def indented_json(child):
         ["table3", "--tmax", "708"], 10, 2,
         refused("pattern has 1001113 cosets, above the cap of 1000000"),
         400_000, id="table3-cap-before-any-cell", marks=NEEDS_RLIMIT_AS,
+    ),
+    pytest.param(
+        ["genfunc", "B_fixed_d", "--fixed", "16000", "--max", "2"], 10, 0,
+        genfunc_three_terms, None, id="genfunc-large-fixed",
     ),
     pytest.param(
         ["lattice-search3d", "5", "1"], 10, 0, lattice_search_5_1, None,
