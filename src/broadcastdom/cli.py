@@ -627,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("lattice-check", _cmd_lattice_check,
                 "verify whether a sublattice pattern dominates under (t,r)", "t r")
-    p.add_argument("--basis", required=True, help="basis columns, e.g. 18,0;5,1")
+    p.add_argument("--basis", required=True, help='basis columns, e.g. "18,0;5,1"')
     p.add_argument("--index-cap", type=int, default=DEFAULT_INDEX_CAP)
 
     p = command("lattice-search3d", _cmd_lattice_search3d,

@@ -4,18 +4,18 @@ The shell S_n(d) is the set of points of Z^n at L1 distance exactly d from
 the origin; the ball B_n(d) collects shells 0 through d. Everything here is
 exact integer arithmetic. A ball size is a Delannoy sum, stepped from term to
 term by an exact ratio, and a shell size is the difference of two consecutive
-balls. Univariate generating function coefficients divide a binomial
-numerator by (1 - x)^k as k running sums; the bivariate tables and the
-Delannoy numbers walk the rows of the Delannoy recursion. The shell <-> box
-bijection uses an explicit tuple encoding. Every cap of the package, here and
-in pattern_engine, refuses through _check_cap with the one CapExceeded.
+balls. The Delannoy numbers, the univariate generating functions and the
+enumeration cap's size check read one series, (1 + x)^p / (1 - x)^q, stepped
+by an exact three-term recurrence; the bivariate tables walk the rows of the
+Delannoy recursion. The shell <-> box bijection uses an explicit tuple
+encoding. Every cap of the package, here and in pattern_engine, refuses
+through _check_cap with the one CapExceeded.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count, islice
 from operator import add
 from typing import Iterator
 
@@ -59,6 +59,13 @@ def shell_size(n: int, d: int) -> int:
     return size - ball_size(n, d - 1) if d else size
 
 
+def _check_ball(n: int, d: int) -> None:
+    if n < 0:
+        raise ValueError("dimension must be nonnegative")
+    if d < 0:
+        raise ValueError("distance must be nonnegative")
+
+
 def ball_size(n: int, d: int) -> int:
     """Number of points of Z^n at L1 distance at most d from the origin.
 
@@ -66,10 +73,7 @@ def ball_size(n: int, d: int) -> int:
     sign them, and fix their magnitudes by their partial sums, i distinct
     values in 1..d. Term i + 1 is term i times 2(n - i)(d - i) / (i + 1)^2.
     """
-    if n < 0:
-        raise ValueError("dimension must be nonnegative")
-    if d < 0:
-        raise ValueError("distance must be nonnegative")
+    _check_ball(n, d)
     total = term = 1
     for i in range(min(n, d)):
         term = term * 2 * (n - i) * (d - i) // (i + 1) ** 2
@@ -82,20 +86,31 @@ def _delannoy_row(row: list[int]) -> list[int]:
     return list(accumulate(map(add, row, chain((0,), row))))
 
 
+def _series(p: int, q: int) -> Iterator[int]:
+    """The coefficients of (1 + x)^p / (1 - x)^q, constant term first, unending.
+
+    The series G solves (1 - x^2) G' = (p + q + (q - p) x) G, so
+    (k + 1) c[k+1] = (p + q) c[k] + (k - 1 + q - p) c[k-1], exactly.
+    """
+    before, term = 0, 1
+    for k in count():
+        yield term
+        before, term = term, ((p + q) * term + (k - 1 + q - p) * before) // (k + 1)
+
+
 def delannoy(m: int, k: int) -> int:
     """Delannoy number D(m, k): lattice paths with steps east, north, northeast.
 
     Satisfies the same recursion as ball sizes, D(m, k) = D(m-1, k)
-    + D(m, k-1) + D(m-1, k-1), so ball_size(n, d) == delannoy(n, d).
-    Computed by walking the m rows of that table from the all-ones row 0,
-    without calling ball_size, so the tests can hold one against the other.
+    + D(m, k-1) + D(m-1, k-1), so ball_size(n, d) == delannoy(n, d). D is
+    symmetric, and D(p, k) is coefficient k of (1 + x)^p / (1 - x)^(p+1):
+    this is term min(m, k) of that series with p = max(m, k). It never
+    calls ball_size, so the tests can hold one against the other.
     """
     if m < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    row = [1] * (k + 1)
-    for _ in range(m):
-        row = _delannoy_row(row)
-    return row[k]
+    p = max(m, k)
+    return next(islice(_series(p, p + 1), min(m, k), None))
 
 
 def _ball_walk(n: int, d: int) -> Iterator[tuple[LatticePoint, int]]:
@@ -122,21 +137,20 @@ def shell_enumerate(
     """All points of Z^n at L1 distance exactly d, in lexicographic order.
 
     Each point y of B_(n-1)(d) closes with -left, then +left. Refuses up
-    front when the enclosing ball holds more than cap points.
+    front when the enclosing ball holds more than cap points: |B_n(d)| is
+    term min(n, d) of the ball series with p = max(n, d), which rises
+    strictly once p > 0, so the refusal stops at its first term past cap.
     """
-    size = ball_size(n, d)  # refuses a negative n or d
+    _check_ball(n, d)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    _check_cap(f"ball ({n}, {d}) has {{}} points", size, cap)
+    p = max(n, d)
+    for size in islice(_series(p, p + 1), min(n, d) + 1):
+        _check_cap(f"ball ({n}, {d}) has at least {{}} points", size, cap)
     if n == 0:
         return [()] if d == 0 else []
     return [(*y, x) for y, left in _ball_walk(n - 1, d)
             for x in ((-left, left) if left else (0,))]
-
-
-def _binomial_poly(k: int, count: int) -> list[int]:
-    # The first count coefficients of (1 + x)^k, constant term first.
-    return [math.comb(k, i) for i in range(count)]
 
 
 def genfunc_coefficients(
@@ -161,6 +175,9 @@ def genfunc_coefficients(
       from (1 + x)^n / (1 - x)^(n+1).
     * ``S_fixed_n``: coefficient k is shell_size(n, k), from
       (1 + x)^n / (1 - x)^n.
+
+    Each is a slice of one series (1 + x)^p / (1 - x)^q, read term by term,
+    so a univariate kind takes max_index + 1 steps whatever fixed is.
     """
     if kind not in GENFUNC_KINDS:
         raise ValueError(f"unknown generating function kind: {kind!r}")
@@ -183,24 +200,10 @@ def genfunc_coefficients(
         raise ValueError(f"{kind} requires a fixed parameter")
     if fixed < 0:
         raise ValueError("fixed parameter must be nonnegative")
-    count = max_index + 1
-
-    # The numerator's first count terms, the only ones that reach the
-    # coefficients, and the power k of the denominator (1 - x)^k.
-    if kind in ("B_fixed_d", "B_fixed_n"):
-        coeffs, k = _binomial_poly(fixed, count), fixed + 1
-    elif kind == "S_fixed_d":
-        if fixed == 0:
-            coeffs, k = _binomial_poly(0, count), 1
-        else:
-            coeffs = [0] + [2 * c for c in _binomial_poly(fixed - 1, count - 1)]
-            k = fixed + 1
-    else:  # S_fixed_n
-        coeffs, k = _binomial_poly(fixed, count), fixed
-    # Dividing a series by 1 - x takes its running sums.
-    for _ in range(k):
-        coeffs = list(accumulate(coeffs))
-    return coeffs
+    if kind == "S_fixed_d" and fixed:
+        return [0, *(2 * c for c in islice(_series(fixed - 1, fixed + 1), max_index))]
+    q = fixed if kind == "S_fixed_n" else fixed + 1
+    return list(islice(_series(fixed, q), max_index + 1))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,15 @@ from collections import deque
 from fractions import Fraction
 
 
+def digits_value(text: str) -> int:
+    """The value of a decimal string, read in chunks under the digit limit."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 def brute_shell(n: int, d: int) -> list[tuple[int, ...]]:
     """All points of Z^n at L1 norm exactly d, by direct product scan."""
     if n == 0:

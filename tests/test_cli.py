@@ -12,6 +12,9 @@ import dataclasses
 import io
 import json
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -39,6 +42,8 @@ from broadcastdom import (
     shell_size,
 )
 from broadcastdom.cli import main
+
+from _cases import digits_value
 
 FIXTURE_DIR = Path(__file__).parent / "data"
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -97,15 +102,6 @@ def test_counts_are_decimal_strings(capsys):
     assert doc["size"] == str(int(doc["size"]))
 
 
-def _digits_value(text: str) -> int:
-    # Read a decimal string in chunks, each under the interpreter's digit limit.
-    value = 0
-    for start in range(0, len(text), 1000):
-        chunk = text[start:start + 1000]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return value
-
-
 def test_counts_beyond_the_digit_limit(capsys):
     # B_6000(6000) has 4,592 digits and S_6000(6000) 4,591, above CPython's
     # default limit of 4,300 for converting an int to a string.
@@ -117,11 +113,11 @@ def test_counts_beyond_the_digit_limit(capsys):
     ):
         code, out, err = run_within(seconds, capsys, command, "6000", "6000")
         assert (code, err) == (0, "")
-        assert len(out) == digits + 1 and _digits_value(out.strip()) == size
+        assert len(out) == digits + 1 and digits_value(out.strip()) == size
         code, out, err = run(capsys, command, "6000", "6000", "--format", "json",
                              "--no-timestamp")
         assert (code, err) == (0, "")
-        assert _digits_value(json.loads(out)["size"]) == size
+        assert digits_value(json.loads(out)["size"]) == size
     # main gives the limit back to the process that called it.
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
@@ -782,6 +778,39 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "12\n"
+
+
+def readme_commands():
+    # The fenced block of README lines that each run one subcommand.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    block = next(b for b in blocks if b.strip().startswith("broadcastdom shell"))
+    return block.strip().splitlines()
+
+
+def test_readme_commands_run_as_written(tmp_path):
+    # Each line runs in a shell as written, so a ';' in an unquoted argument
+    # would end the command. A comment that gives a value, "# 43" or
+    # "# |S_2(3)| = 12", names a token the command prints.
+    shutil.copy(Path(__file__).parent / "data" / "vizing_pairs.txt",
+                tmp_path / "pairs.txt")
+    module = f"{shlex.quote(sys.executable)} -m broadcastdom"
+    values = {}
+    for line in readme_commands():
+        command, _, comment = line.partition("#")
+        assert command.startswith("broadcastdom "), line
+        proc = subprocess.run(
+            ["bash", "-c", module + command.removeprefix("broadcastdom")],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR.resolve())},
+        )
+        assert proc.returncode == 0, (line, proc.stderr)
+        value = re.fullmatch(r"(?:.* = )?(\d+|T\(\d+,\d+\))", comment.strip())
+        if value:
+            values[value[1]] = proc.stdout
+    assert sorted(values) == ["12", "13", "25", "43", "T(18,5)"]
+    for value, out in values.items():
+        assert value in re.findall(r"[\w(),]+", out), (value, out)
 
 
 @pytest.mark.parametrize("stderr, message", [

@@ -96,6 +96,13 @@ def test_delannoy_matches_reference_and_symmetry():
         assert ball_size(0, k) == ball_size(k, 0) == delannoy(0, k) == 1, k
 
 
+def test_delannoy_at_scale():
+    # One term of a series, not 5,000 rows of the table: 8 s when walked.
+    start = time.perf_counter()
+    assert delannoy(5000, 5000) == ball_size(5000, 5000)
+    assert time.perf_counter() - start < 1
+
+
 def test_shell_polynomials():
     for n in range(1, 8):
         poly = SHELL_POLYNOMIALS[n]
@@ -138,6 +145,15 @@ def test_shell_enumerate_cap():
     with pytest.raises(CapExceeded):
         shell_enumerate(3, 3, cap=ball_size(3, 3) - 1)
     assert len(shell_enumerate(3, 3, cap=ball_size(3, 3))) == shell_size(3, 3)
+    # The refusal names the first term of the rising ball series past the
+    # cap, which the ball holds at least; a million squared stops at term 2.
+    with pytest.raises(CapExceeded, match=r"^ball \(3, 3\) has at least 25 points, "
+                       r"above the cap of 10$"):
+        shell_enumerate(3, 3, cap=10)
+    with pytest.raises(CapExceeded, match=r"^ball \(2, 2\) has at least 13 points"):
+        shell_enumerate(2, 2, cap=12)
+    with pytest.raises(CapExceeded, match=f" {ball_size(10**6, 2)} points"):
+        shell_enumerate(10**6, 10**6)
     # a negative cap is a bad argument; 0 is a cap that every ball exceeds
     with pytest.raises(ValueError, match="^cap must be nonnegative$"):
         shell_enumerate(2, 3, cap=-1)
@@ -154,36 +170,35 @@ def test_genfunc_bivariate_tables():
             assert shells[i][j] == shell_size(i, j), (i, j)
 
 
+# Coefficient k of each univariate kind at fixed.
+UNIVARIATE = {
+    "B_fixed_d": lambda fixed, k: ball_size(k, fixed),
+    "B_fixed_n": lambda fixed, k: ball_size(fixed, k),
+    "S_fixed_d": lambda fixed, k: shell_size(k, fixed),
+    "S_fixed_n": lambda fixed, k: shell_size(fixed, k),
+}
+
+
 def test_genfunc_univariate_kinds():
-    for fixed in (0, 1, 2, 3, 4, 17, 60):
-        assert genfunc_coefficients("B_fixed_d", 80, fixed=fixed) == [
-            ball_size(i, fixed) for i in range(81)
-        ]
-        assert genfunc_coefficients("B_fixed_n", 80, fixed=fixed) == [
-            ball_size(fixed, j) for j in range(81)
-        ]
-        assert genfunc_coefficients("S_fixed_d", 80, fixed=fixed) == [
-            shell_size(i, fixed) for i in range(81)
-        ]
-        assert genfunc_coefficients("S_fixed_n", 80, fixed=fixed) == [
-            shell_size(fixed, j) for j in range(81)
-        ]
+    grid = [(f, m) for f in range(31) for m in range(31)] + [(300, 40), (40, 300)]
+    for kind, count in UNIVARIATE.items():
+        for fixed, max_index in grid:
+            assert genfunc_coefficients(kind, max_index, fixed=fixed) == [
+                count(fixed, k) for k in range(max_index + 1)
+            ], (kind, fixed, max_index)
 
 
 def test_genfunc_builds_only_the_printed_terms():
-    # Three coefficients at fixed = 16,000 need three numerator terms. Built
-    # in full, the 16,001 binomials took 22 s for B_fixed_d alone.
+    # 2,001 coefficients at fixed = 16,000 take 2,001 steps of the series;
+    # dividing by (1 - x)^16001 in running sums took 4.4 s per kind.
     fixed = 16_000
-    expected = {
-        "B_fixed_d": [ball_size(i, fixed) for i in range(3)],
-        "B_fixed_n": [ball_size(fixed, j) for j in range(3)],
-        "S_fixed_d": [shell_size(i, fixed) for i in range(3)],
-        "S_fixed_n": [shell_size(fixed, j) for j in range(3)],
-    }
-    for kind, coeffs in expected.items():
+    for kind, count in UNIVARIATE.items():
         start = time.perf_counter()
-        assert genfunc_coefficients(kind, 2, fixed=fixed) == coeffs, kind
+        coeffs = genfunc_coefficients(kind, 2000, fixed=fixed)
         assert time.perf_counter() - start < 1, kind
+        assert len(coeffs) == 2001, kind
+        for k in (0, 1, 2, 2000):
+            assert coeffs[k] == count(fixed, k), (kind, k)
 
 
 def test_shell_gf_denominator_sign():

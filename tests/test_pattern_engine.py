@@ -18,6 +18,7 @@ from broadcastdom import (
     SublatticePattern,
     TowerPattern,
     ball_size,
+    coverage,
     hermite_normal_form,
     is_dominating_lattice,
     is_dominating_tower,
@@ -659,6 +660,42 @@ def hermite_bases(draw):
         above = [draw(st.integers(0, diag[i] - 1)) for i in range(j)]
         cols.append(tuple(above + [diag[j]] + [0] * (n - 1 - j)))
     return tuple(cols)
+
+
+def weighted_sum_lattice(n, modulus):
+    """{x in Z^n : sum of i * x_i over i = 1..n is 0 mod modulus}.
+
+    Spanned by modulus * e_1 and by e_i - i * e_1 for i = 2..n.
+    """
+    first = (modulus,) + (0,) * (n - 1)
+    return SublatticePattern((first, *(
+        tuple(-i if j == 0 else int(j == i - 1) for j in range(n))
+        for i in range(2, n + 1)
+    )))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_weighted_sum_lattices_are_perfect(n):
+    # Modulo n + 1, a point of the lattice receives 2 from itself, and any
+    # other point p has exactly two lattice neighbours, p - e_k and
+    # p + e_(n+1-k) for its residue k, which give 1 each: every coset
+    # receives exactly 2 under (2,2). Modulo 2n + 1 it is the radius-1 Lee
+    # code, whose index meets the coverage bound under (2,1): each other
+    # coset has exactly one lattice neighbour.
+    perfect, lee = weighted_sum_lattice(n, n + 1), weighted_sum_lattice(n, 2 * n + 1)
+    assert perfect.index == n + 1
+    assert lee.index == 2 * n + 1 == coverage(n, Params(2, 1))
+    at_2_2 = lattice_receptions(Params(2, 2), perfect)
+    at_2_1 = lattice_receptions(Params(2, 1), lee)
+    assert set(at_2_2.values()) == {2}
+    assert sorted(at_2_1.values()) == [1] * (2 * n) + [2]
+    assert at_2_1[(0,) * n] == 2
+    assert is_dominating_lattice(Params(2, 2), perfect)
+    assert is_dominating_lattice(Params(2, 1), lee)
+    if n <= 3:
+        for pattern, receptions in ((perfect, at_2_2), (lee, at_2_1)):
+            expected = brute_lattice_receptions(2, pattern.basis)
+            assert list(receptions.items()) == list(expected.items())
 
 
 @PROPERTY

@@ -21,6 +21,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from broadcastdom import ball_size
+
+from _cases import digits_value
+
 SRC_DIR = Path(__file__).parent.parent / "src"
 
 
@@ -150,8 +154,22 @@ def lattice_search_6_2(child):
 
 
 def genfunc_three_terms(child):
-    # ball_size(k, 16000) for k = 0, 1, 2, from three numerator terms.
+    # ball_size(k, 16000) for k = 0, 1, 2, from three terms of one series.
     assert child.out == "1 32001 512032001\n"
+
+
+def delannoy_20000(child):
+    # Term 20,000 of one series, where the 20,000-row walk ran past 20 s.
+    # Its 15,309 digits pass the interpreter's limit for int <-> str.
+    assert child.out.endswith("\n") and "\n" not in child.out[:-1]
+    assert digits_value(child.out.strip()) == ball_size(20000, 20000)
+
+
+def one_short_line(child):
+    # The refusal stops at the first ball-series term past the cap, so the
+    # line is short and the command never counts the whole ball.
+    assert child.out == "" and child.err.startswith("error: ball (1000000, ")
+    assert child.err.count("\n") == 1 and len(child.err) < 120
 
 
 def out_of_memory(child):
@@ -260,6 +278,14 @@ def indented_json(child):
     pytest.param(
         ["genfunc", "B_fixed_d", "--fixed", "16000", "--max", "2"], 10, 0,
         genfunc_three_terms, None, id="genfunc-large-fixed",
+    ),
+    pytest.param(
+        ["delannoy", "20000", "20000"], 10, 0, delannoy_20000, None,
+        id="delannoy-large",
+    ),
+    pytest.param(
+        ["shell", "1000000", "1000000", "--enumerate"], 5, 2, one_short_line,
+        None, id="shell-enumerate-refused-early",
     ),
     pytest.param(
         ["lattice-search3d", "5", "1"], 10, 0, lattice_search_5_1, None,
