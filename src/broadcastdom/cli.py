@@ -220,6 +220,12 @@ def _cmd_shell(args) -> int:
     return _emit(args, payload, text, ["n", "d", "size", "point"], rows)
 
 
+def _grid(rows) -> str:
+    cells = [[str(c) for c in row] for row in rows]
+    width = max(len(c) for row in cells for c in row)
+    return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)
+
+
 def _cmd_genfunc(args) -> int:
     coeffs = genfunc_coefficients(args.kind, args.max_index, fixed=args.fixed)
     head: dict = {"kind": args.kind, "max_index": args.max_index}
@@ -231,12 +237,7 @@ def _cmd_genfunc(args) -> int:
         rows = (
             [i, j, str(c)] for i, row in enumerate(coeffs) for j, c in enumerate(row)
         )
-
-        def text() -> str:
-            width = max(len(str(c)) for row in coeffs for c in row)
-            return "\n".join(
-                " ".join(str(c).rjust(width) for c in row) for row in coeffs
-            )
+        text = lambda: _grid(coeffs)
     else:
         coefficients = lambda: [str(c) for c in coeffs]
         header = ["index", "coefficient"]
@@ -433,13 +434,10 @@ def _grid_text(graph: FiniteGraph, receptions: dict, witness) -> Optional[str]:
     xs = sorted({lab[0] for lab in labels})
     ys = sorted({lab[1] for lab in labels})
     marked = set(witness or ())
-    cells = {
-        lab: str(receptions[lab]) + ("*" if lab in marked else "")
-        for lab in labels
-    }
-    width = max(len(v) for v in cells.values())
-    rows = (" ".join(cells[(x, y)].rjust(width) for y in ys) for x in xs)
-    return "\n".join(rows)
+    return _grid([
+        [str(receptions[x, y]) + ("*" if (x, y) in marked else "") for y in ys]
+        for x in xs
+    ])
 
 
 def _cmd_gamma(args) -> int:
@@ -604,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("coverage", _cmd_coverage,
                 "unwasted reception of one broadcast over Z^n", "n t r")
     p.add_argument("--closed-form", action="store_true",
-                   help="evaluate the closed-form polynomial (n <= 4)")
+                   help="evaluate the closed-form binomial identity")
 
     p = command("lower-bound", _cmd_lower_bound,
                 "coverage lower bound on gamma for a finite grid", "t r")

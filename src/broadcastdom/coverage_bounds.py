@@ -4,7 +4,9 @@ A broadcast of strength t at a point of Z^n delivers reception t - d to every
 point at L1 distance d < t, but any one receiver only counts up to r of it.
 The coverage C_{t,r}(Z^n) is the total capped reception a single broadcast
 can deliver; dividing it into the demand r * |V| of a finite grid gives a
-lower bound on how many broadcasts a dominating set needs.
+lower bound on how many broadcasts a dominating set needs. coverage() sums
+ball sizes; coverage_closed_form() gives the same count in any dimension from
+one binomial identity.
 """
 
 from __future__ import annotations
@@ -67,59 +69,23 @@ def coverage(n: int, params: Params) -> int:
     return sum(ball_size(n, params.t - 1 - j) for j in range(params.r))
 
 
-# Closed forms of coverage(n, (t, r)) for small n, as polynomials in t and r.
-# Keyed by n; each entry maps (t_power, r_power) to an integer numerator over
-# the common denominator _CLOSED_FORM_DENOMINATOR, so that 2/15 is stored as
-# 2 and 4/3 as 20, and the sum stays in exact integers.
-_CLOSED_FORM_DENOMINATOR = 15
-_CLOSED_FORMS: dict[int, dict[tuple[int, int], int]] = {
-    1: {
-        (1, 1): 30,
-        (0, 2): -15,
-    },
-    2: {
-        (0, 3): 10,
-        (1, 2): -30,
-        (2, 1): 30,
-        (0, 1): 5,
-    },
-    3: {
-        (0, 4): -5,
-        (1, 3): 20,
-        (2, 2): -30,
-        (0, 2): -10,
-        (3, 1): 20,
-        (1, 1): 20,
-    },
-    4: {
-        (0, 5): 2,
-        (1, 4): -10,
-        (2, 3): 20,
-        (0, 3): 10,
-        (3, 2): -20,
-        (1, 2): -30,
-        (4, 1): 10,
-        (2, 1): 30,
-        (0, 1): 3,
-    },
-}
-
-
 def coverage_closed_form(n: int, params: Params) -> int:
-    """Coverage via the closed-form polynomial, available for n in 1..4.
+    """Coverage by one binomial identity, for every dimension n >= 1.
 
-    Agrees with coverage(n, params) on every valid input; the polynomial is
-    exact, so the numerator total is always divisible by the denominator.
+    coverage(n, (t, r)) = sum over i <= min(n, t - 1) of
+    C(n, i) * 2^i * (C(t, i + 1) - C(t - r, i + 1)). Each ball B_n(d) is the
+    Delannoy sum of C(n, i) * C(d, i) * 2^i, and the hockey-stick identity
+    sums C(d, i) over the r radii d = t - r .. t - 1 that coverage() adds up.
+    On the plane this is r * (6t^2 - 6tr + 2r^2 + 1) / 3. It reads only
+    math.comb and shares no code with coverage(), so each checks the other.
     """
-    if n not in _CLOSED_FORMS:
-        raise ValueError(f"no closed form for dimension {n}; use coverage()")
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
     t, r = params.t, params.r
-    total = sum(
-        coeff * t**tp * r**rp for (tp, rp), coeff in _CLOSED_FORMS[n].items()
+    return sum(
+        math.comb(n, i) * 2**i * (math.comb(t, i + 1) - math.comb(t - r, i + 1))
+        for i in range(min(n, t - 1) + 1)
     )
-    value, remainder = divmod(total, _CLOSED_FORM_DENOMINATOR)
-    assert remainder == 0
-    return value
 
 
 def domination_lower_bound(grid: GridDims, params: Params) -> int:

@@ -202,6 +202,13 @@ def test_coverage_and_bounds(capsys):
     assert run(capsys, "lower-bound", "--dims", "18,18", "4", "2")[1] == "18\n"
     code, _, err = run(capsys, "coverage", "2", "2", "4")
     assert code == 2 and err.startswith("error:")
+    assert run(capsys, "coverage", "6", "5", "3")[1] == "1751\n"
+    assert run(capsys, "coverage", "6", "5", "3", "--closed-form")[1] == "1751\n"
+    code, out, _ = run(capsys, "coverage", "6", "5", "3", "--closed-form",
+                       "--format", "json", "--no-timestamp")
+    assert code == 0
+    report = json.loads(out)
+    assert report["coverage"] == "1751" and report["method"] == "closed-form"
 
 
 def test_tower_check_exit_codes(capsys):

@@ -1,5 +1,9 @@
 """Coverage of a single broadcast and the grid lower bound built on it."""
 
+import ast
+import inspect
+import time
+
 import pytest
 
 from broadcastdom import (
@@ -60,26 +64,43 @@ def test_coverage_r_equals_t_collapses_to_weighted_shells():
                     min(t - d, r) * SHELL_POLYNOMIALS[n](d) for d in range(1, t)
                 )
                 assert coverage(n, Params(t, r)) == expected, (n, t, r)
+                assert coverage_closed_form(n, Params(t, r)) == expected, (n, t, r)
 
 
 def test_closed_forms_match_sum():
-    for n in range(1, 5):
+    for n in range(1, 9):
         for t in range(1, 13):
             for r in range(1, t + 1):
                 p = Params(t, r)
                 assert coverage_closed_form(n, p) == coverage(n, p), (n, t, r)
 
 
-def test_closed_form_dimension_limit():
-    with pytest.raises(ValueError):
-        coverage_closed_form(5, Params(3, 2))
-    with pytest.raises(ValueError):
-        coverage_closed_form(0, Params(3, 2))
+@pytest.mark.parametrize("n, params", [
+    (3, Params(10**9, 7)),
+    # Every term with i >= t is zero: 2,000,004,000,002.
+    (10**6, Params(3, 2)),
+])
+def test_closed_form_at_large_arguments(n, params):
+    start = time.perf_counter()
+    value = coverage_closed_form(n, params)
+    elapsed = time.perf_counter() - start
+    assert value == coverage(n, params)
+    assert elapsed < 0.1, elapsed
+
+
+def test_closed_form_shares_no_code_with_coverage():
+    tree = ast.parse(inspect.getsource(coverage_closed_form))
+    called = {
+        ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+    }
+    assert not called & {"coverage", "ball_size"}, called
 
 
 @pytest.mark.parametrize("fn, args, message", [
     (coverage, (0, Params(2, 1)), "dimension must be at least 1"),
     (coverage, (-1, Params(2, 1)), "dimension must be at least 1"),
+    (coverage_closed_form, (0, Params(3, 2)), "dimension must be at least 1"),
+    (coverage_closed_form, (-1, Params(3, 2)), "dimension must be at least 1"),
 ])
 def test_validation_raises(fn, args, message):
     with pytest.raises(ValueError) as err:
