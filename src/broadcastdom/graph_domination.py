@@ -341,8 +341,12 @@ def _min_cover(
     row, the last candidate worth trying, the deficits, the rows still to
     choose after a candidate, and the column prune for min(m, r) of them.
     Choosing u pushes the node as one frame and descends, so a candidate
-    does only its own work: the child deficits, one test that it changed
-    them, and the prunes read from tables indexed by u alone.
+    does only its own work, read from tables indexed by u alone: one AND
+    with stay[u], which clears planes 0 .. min(c, r) - 1 of each column u
+    gives c, so a deficit d keeps max(0, d - c) bits, as in the child. The
+    AND tells whether u changes the deficits, completes the cover and
+    passes the gain prune; only then is the child built (at r = 1 it is
+    the AND) for the column prune and the memo.
 
     The child's subtree depends on u, child and m alone (its first
     candidate is u + 1, hi and mask follow from child and m - 1), so the
@@ -368,16 +372,23 @@ def _min_cover(
     width = (n * n).bit_length()
     hi_of_bit = [0] * width + [last_helper[v] for v in by_last_helper]
     bit = {v: 1 << (width + p) for p, v in enumerate(by_last_helper)}
-    full, tile = ((1 << n) - 1) << width, sum(1 << (j * n) for j in range(r))
-    # keep[u] clears the columns row u reaches and shifts[u] lists (c * n,
-    # the columns given c < r), masks repeated per plane by tile.
-    keep, shifts = [], []
+    full = ((1 << n) - 1) << width
+    # spread[c] repeats a plane mask over planes 0 .. c - 1, and spread[0]
+    # = tile over all r. At r >= 2, keep[u] clears the columns row u reaches
+    # and shifts[u] lists (c * n, the columns given c < r), masks repeated
+    # per plane by tile.
+    spread = [sum(1 << (j * n) for j in range(c or r)) for c in range(r)]
+    tile = spread[0]
+    multi = r > 1  # at r = 1 every shift list is empty and keep is stay
+    stay, keep, shifts = [], [], []
     for row in rows:
         given = [0] * r  # given[0] gathers the columns that receive c >= r
         for v, c in row:
             given[c if c < r else 0] |= bit[v]
-        keep.append((full ^ sum(given)) * tile)
-        shifts.append([(c * n, g * tile) for c, g in enumerate(given) if c and g])
+        stay.append(full * tile ^ sum(g * s for g, s in zip(given, spread)))
+        if multi:
+            keep.append((full ^ sum(given)) * tile)
+            shifts.append([(c * n, g * tile) for c, g in enumerate(given) if c and g])
     # Column prune: m more rows cannot cover a column whose best single-row
     # contribution from the rows left is c < r once its deficit exceeds
     # m * c. cls[c] holds the columns of class c over the rows seen so far
@@ -412,7 +423,6 @@ def _min_cover(
 
     upper = len(_greedy_witness(rows, r))
     limit = upper if size_cap is None else min(size_cap, upper)
-    multi = r > 1  # at r = 1 every shifts[u] is empty
     root = full * tile
     nodes = 0
     failed: dict[int, int] = {}
@@ -436,10 +446,7 @@ def _min_cover(
                     failed[key] = nodes - start
                 u += 1
                 continue
-            child = planes & keep[u]
-            if multi:
-                for shift, given in shifts[u]:
-                    child |= (planes >> shift) & given
+            child = planes & stay[u]
             if child == planes:
                 # Every set bit has its copy in plane 0, so a row that
                 # reaches a deficient column lowers the popcount. This u
@@ -449,26 +456,30 @@ def _min_cover(
             if not child:
                 # Frames hold increasing indices, so this is sorted.
                 return k, [frame[0] for frame in stack] + [u], upper, nodes
-            # The gain prune rejects most candidates, so it runs first.
-            if m and child.bit_count() <= m * gain_after[u] and (
-                not child & mask[u]
-            ):
-                key = child | (u * n + m)
-                below = failed.get(key)
-                if below is None:
-                    nodes += 1
+            # The gain prune rejects most candidates, so it runs first, and
+            # only a candidate that passes it builds its child.
+            if m and child.bit_count() <= m * gain_after[u]:
+                if multi:
+                    child = planes & keep[u]
+                    for shift, given in shifts[u]:
+                        child |= (planes >> shift) & given
+                if not child & mask[u]:
+                    key = child | (u * n + m)
+                    below = failed.get(key)
+                    if below is None:
+                        nodes += 1
+                        if nodes > node_budget:
+                            return None, None, upper, nodes
+                        stack.append((u, hi, planes, m, mask, key, nodes))
+                        low = (child & -child).bit_length() - 1
+                        u, hi, planes, m = u + 1, hi_of_bit[low], child, m - 1
+                        mask = masks[min(m, r)]
+                        continue
+                    nodes += 1 + below
                     if nodes > node_budget:
-                        return None, None, upper, nodes
-                    stack.append((u, hi, planes, m, mask, key, nodes))
-                    low = (child & -child).bit_length() - 1
-                    u, hi, planes, m = u + 1, hi_of_bit[low], child, m - 1
-                    mask = masks[min(m, r)]
-                    continue
-                nodes += 1 + below
-                if nodes > node_budget:
-                    # The walk would have stopped inside the subtree, at
-                    # the first node over the budget.
-                    return None, None, upper, node_budget + 1
+                        # The walk would have stopped inside the subtree, at
+                        # the first node over the budget.
+                        return None, None, upper, node_budget + 1
             u += 1
     return None, None, upper, nodes
 

@@ -333,6 +333,25 @@ def brute_gamma(graph, t: int, r: int, max_size=None):
     return None, None
 
 
+def brute_min_cover(rows, r: int):
+    """Smallest set of row indices that brings every column to r.
+
+    Row u holds (v, c) pairs: taking u adds c to column v. Returns (size,
+    indices); itertools.combinations yields index subsets in lexicographic
+    order, so the indices are the lexicographically least of minimum size.
+    """
+    columns = {v for row in rows for v, _ in row}
+    for k in range(len(rows) + 1):
+        for combo in itertools.combinations(range(len(rows)), k):
+            totals = dict.fromkeys(columns, 0)
+            for u in combo:
+                for v, c in rows[u]:
+                    totals[v] += c
+            if all(total >= r for total in totals.values()):
+                return k, list(combo)
+    return None, None
+
+
 def naive_greedy(rows, r: int) -> list[int]:
     """Greedy cover by full rescan: each step takes the untaken row that
     removes the most deficit, lowest index on ties, until none is left.

@@ -23,7 +23,11 @@ from broadcastdom import (
     vizing_scan,
 )
 import broadcastdom.graph_domination as graph_domination
-from broadcastdom.graph_domination import _greedy_witness
+from broadcastdom.graph_domination import (
+    DEFAULT_NODE_BUDGET,
+    _greedy_witness,
+    _min_cover,
+)
 
 from _cases import (
     CORNER_BROADCASTS,
@@ -33,6 +37,7 @@ from _cases import (
     MONOTONE_INSTANCES,
     brute_distances,
     brute_gamma,
+    brute_min_cover,
     brute_receptions,
     naive_greedy,
 )
@@ -290,6 +295,12 @@ GAMMA_NODE_COUNTS = {
     ("C7*C7", 3, 2): (7, 14945),
     ("P6*P8", 2, 1): (12, 101716),
     ("P8*P8", 2, 1): (16, 1075215),
+    # Three and four deficit planes, where rows give c below r in two or
+    # three shift classes.
+    ("C7*C7", 4, 3): (5, 3374),
+    ("C8*C8", 4, 3): (6, 16394),
+    ("P6*P6", 4, 4): (6, 2801),
+    ("C7*C7", 4, 4): (6, 14249),
 }
 
 
@@ -407,9 +418,10 @@ def test_rows_that_reach_no_deficit_are_not_chosen():
 
 
 def test_gamma_node_budget_edge():
-    # One, three and two deficit planes: the budget is checked where the
-    # search pushes a frame, on every plane count.
-    for expr, t, r in [("P5*P5", 2, 1), ("P6*P6", 3, 3), ("C7*C7", 3, 2)]:
+    # One, three, two and three deficit planes: the budget is checked where
+    # the search pushes a frame, on every plane count.
+    cases = [("P5*P5", 2, 1), ("P6*P6", 3, 3), ("C7*C7", 3, 2), ("C7*C7", 4, 3)]
+    for expr, t, r in cases:
         g, params = parse_graph_expr(expr), Params(t, r)
         gamma, nodes = GAMMA_NODE_COUNTS[(expr, t, r)]
         enough = gamma_exact(g, params, node_budget=nodes)
@@ -585,6 +597,37 @@ def test_gamma_exact_matches_brute_force_up_to_five_planes(g, t, data):
     assert result.status == "exact"
     assert (result.gamma, result.witness) == (size, witness)
     assert result.gamma <= result.upper_bound
+
+
+@st.composite
+def irregular_rows(draw, max_columns=9, max_r=4):
+    """(rows, r) for _min_cover with rows that are no BFS balls.
+
+    Row u gives c in 1..r + 1 to a random subset of the columns, and column
+    u the value r, so the rows together always cover every column.
+    """
+    n = draw(st.integers(1, max_columns))
+    r = draw(st.integers(1, max_r))
+    rows = []
+    for u in range(n):
+        given = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, r + 1)))
+        given[u] = r
+        rows.append(tuple(sorted(given.items())))
+    return rows, r
+
+
+@PROPERTY
+@given(irregular_rows())
+def test_min_cover_matches_brute_force_on_irregular_rows(case):
+    # A column may get several values of c below r from different rows,
+    # and a row may reach columns in any pattern, unlike a ball in a grid.
+    rows, r = case
+    size, chosen, upper, nodes = _min_cover(rows, r, None, DEFAULT_NODE_BUDGET)
+    assert (size, chosen) == brute_min_cover(rows, r)
+    assert size <= upper
+    with mock.patch.object(graph_domination, "_MEMO_CAP", 0):
+        assert _min_cover(rows, r, None, DEFAULT_NODE_BUDGET)[3] == nodes
+    assert _min_cover(rows, r, None, nodes - 1)[0] is None
 
 
 @PROPERTY
