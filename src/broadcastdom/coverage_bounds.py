@@ -12,9 +12,8 @@ one binomial identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .lattice_geometry import ball_size
+from .lattice_geometry import _Record, ball_size
 
 __all__ = [
     "GridDims", "Params", "coverage", "coverage_closed_form",
@@ -22,8 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(_Record):
     """Broadcast strength t and reception demand r, with t >= r >= 1."""
 
     t: int
@@ -36,8 +34,7 @@ class Params:
             raise ValueError("t must be at least r")
 
 
-@dataclass(frozen=True)
-class GridDims:
+class GridDims(_Record):
     """Side lengths of a finite grid graph, each at least 1."""
 
     dims: tuple[int, ...]

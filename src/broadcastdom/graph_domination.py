@@ -27,12 +27,12 @@ skipped subtree reports node_budget + 1 nodes, as the walk would have.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .coverage_bounds import Params
+from .lattice_geometry import _Record
 
 __all__ = [
     "CycleLemmaReport", "FiniteGraph", "GammaResult", "GraphExprError",
@@ -274,8 +274,7 @@ def is_dominating_set(
     return all(value >= params.r for value in receptions.values())
 
 
-@dataclass(frozen=True)
-class GammaResult:
+class GammaResult(_Record):
     """Outcome of a minimum dominating set search.
 
     status is "exact" when gamma and witness are proven minimal, or
@@ -522,8 +521,7 @@ def _gammas(graphs, params: Params, node_budget: int) -> tuple[Optional[int], ..
     return tuple(gamma_exact(g, params, node_budget=node_budget).gamma for g in graphs)
 
 
-@dataclass(frozen=True)
-class CycleLemmaReport:
+class CycleLemmaReport(_Record):
     """Check that the cycle of length 2(t - r + 1) is dominated by 2 broadcasts.
 
     status is "passed", "failed", or "not-applicable" when t = r: the length
@@ -562,8 +560,7 @@ def verify_cycle_lemma(params: Params) -> CycleLemmaReport:
     )
 
 
-@dataclass(frozen=True)
-class TorusReport:
+class TorusReport(_Record):
     """The torus C_n x C_n at n = 2(t - r + 1) needs only 2 broadcasts.
 
     Two antipodal broadcasts dominate the whole torus even though each cycle
@@ -623,8 +620,7 @@ def verify_torus_counterexample(
     )
 
 
-@dataclass(frozen=True)
-class VizingPairReport:
+class VizingPairReport(_Record):
     """Product inequalities for the graph expressions g and h at the scan's (t, r).
 
     halved_product_holds_gh: 2 * gamma_{t,r}(G box H) >= gamma_{t,r}(G) *

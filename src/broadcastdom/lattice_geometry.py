@@ -9,12 +9,12 @@ enumeration cap's size check read one series, (1 + x)^p / (1 - x)^q, stepped
 by an exact three-term recurrence; the bivariate tables walk the rows of the
 Delannoy recursion. The shell <-> box bijection uses an explicit tuple
 encoding. Every cap of the package, here and in pattern_engine, refuses
-through _check_cap with the one CapExceeded.
+through _check_cap with the one CapExceeded. The package's records derive
+from _Record, not dataclasses, so that importing generates no code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, count, islice
 from operator import add
 from typing import Iterator
@@ -38,6 +38,58 @@ GENFUNC_KINDS = (
     "S_fixed_d",
     "S_fixed_n",
 )
+
+
+class _Record:
+    """Frozen record whose fields are its annotations, after its parent's.
+
+    Built by position or keyword, then __post_init__; vars() gives the fields
+    in order. Same-type equality, hash and repr as in a frozen dataclass.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = (*cls._fields, *cls.__annotations__)
+        cls._post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        # A setattr per field keeps the values inline; __dict__ would slow reads.
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+        if self._post_init:
+            self._post_init()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        # The field values in order, or a TypeError unless each is given once.
+        fields = cls._fields
+        values = dict(zip(fields, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(fields):
+            raise TypeError(f"{cls.__qualname__}() takes {', '.join(fields)}, each once; "
+                            f"got {len(args)} by position and {list(kwargs)} by keyword")
+        return tuple(map(values.get, fields))
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
 
 
 class CapExceeded(RuntimeError):
@@ -206,8 +258,7 @@ def genfunc_coefficients(
     return list(islice(_series(fixed, q), max_index + 1))
 
 
-@dataclass(frozen=True)
-class SignedTuple:
+class SignedTuple(_Record):
     """One nonzero coordinate of a lattice point in encoded form.
 
     sign is +1 or -1, gap is the index distance from the previous nonzero
@@ -232,8 +283,7 @@ class SignedTuple:
         return SignedTuple(self.sign, self.magnitude, self.gap)
 
 
-@dataclass(frozen=True)
-class TupleSequence:
+class TupleSequence(_Record):
     """Encoded form of a lattice point: one SignedTuple per nonzero coordinate."""
 
     tuples: tuple[SignedTuple, ...]

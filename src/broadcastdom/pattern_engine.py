@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import getitem, mul, sub
 from typing import Callable, Iterator, Sequence
 
 from .coverage_bounds import Params, max_potential_d
-from .lattice_geometry import LatticePoint, _ball_walk, _check_cap
+from .lattice_geometry import LatticePoint, _ball_walk, _check_cap, _Record
 
 __all__ = [
     "DEFAULT_INDEX_CAP", "ReceptionProfile", "SublatticePattern", "TowerPattern",
@@ -42,8 +41,7 @@ DEFAULT_INDEX_CAP = 10**6
 _PROFILE_SLOT_CAP = 10**7  # ints held by the t row profiles of d slots each
 
 
-@dataclass(frozen=True)
-class ReceptionProfile:
+class ReceptionProfile(_Record):
     """Reception of one period of columns, split by source row.
 
     rows holds (y, contributions) pairs with y descending; receptions is the
@@ -337,8 +335,7 @@ def hermite_normal_form(
     return tuple(tuple(c) for c in cols)
 
 
-@dataclass(frozen=True)
-class SublatticePattern:
+class SublatticePattern(_Record):
     """Broadcasts at every point of a full-rank sublattice of Z^n.
 
     The basis is stored as columns and normalized to Hermite form on
@@ -346,13 +343,13 @@ class SublatticePattern:
     """
 
     basis: tuple[tuple[int, ...], ...]
+    __hash__ = _Record.__hash__  # which the __eq__ below would otherwise unset
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "basis", hermite_normal_form(self.basis))
 
     def __eq__(self, other: object) -> bool:
-        # By basis alone, so a TowerPattern equals the lattice it is; the
-        # dataclass still generates the matching hash of the basis.
+        # By basis alone, so a TowerPattern equals the lattice it is.
         if not isinstance(other, SublatticePattern):
             return NotImplemented
         return self.basis == other.basis

@@ -8,7 +8,6 @@ does not need unloaded.
 """
 
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -608,10 +607,10 @@ def test_json_carries_every_record_field(capsys, monkeypatch, argv, solver):
     # Grow the solver's record by one field: the json must show it with no
     # change to the command.
     def grown(record):
-        cls = dataclasses.make_dataclass(
-            "Grown", [("stats", dict)], bases=(type(record),), frozen=True
-        )
-        return cls(**vars(record), stats={"levels": 3})
+        class Grown(type(record)):
+            stats: dict
+
+        return Grown(**vars(record), stats={"levels": 3})
 
     real = getattr(cli, solver)
 
@@ -644,7 +643,7 @@ def test_report_is_its_record(capsys, monkeypatch, argv, record, head, injected)
     # order; vizing-scan has one record per pair, and its csv header too.
     if injected is not None:
         monkeypatch.setattr(cli, "verify_cycle_lemma", lambda params: injected)
-    names = [field.name for field in dataclasses.fields(record)]
+    names = list(record._fields)
     _, out, _ = run(capsys, *argv, "--format", "json", "--no-timestamp")
     doc = json.loads(out)
     if record is not VizingPairReport:
@@ -841,7 +840,9 @@ def test_closed_pipe_exits_2(stderr, message):
 
 
 def test_cli_import_skips_unused_stdlib_modules():
-    # A fresh interpreter: the test process itself may already hold these.
+    # A fresh interpreter: the test process itself may already hold these,
+    # and -S keeps out what site would import. The records are built without
+    # dataclasses, whose import would pull in inspect.
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -849,13 +850,14 @@ def test_cli_import_skips_unused_stdlib_modules():
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-S", "-c", probe],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
     )
     loaded = set(proc.stdout.split())
     assert "broadcastdom.cli" in loaded
-    for name in ("multiprocessing", "datetime", "fractions", "decimal"):
+    for name in ("multiprocessing", "datetime", "fractions", "decimal", "dataclasses",
+                 "inspect"):
         assert name not in loaded, name
 
 
