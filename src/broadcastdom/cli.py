@@ -506,13 +506,11 @@ def _cmd_vizing_scan(args) -> int:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "," not in line:
-                raise ValueError(
-                    f"{args.pairs}:{lineno}: expected 'EXPR,EXPR', got {line!r}"
-                )
-            pair = tuple(expr.strip() for expr in line.split(",", 1))
             # Every pair is read, and its product sized, before the first search.
             try:
+                if "," not in line:
+                    raise ValueError(f"expected 'EXPR,EXPR', got {line!r}")
+                pair = tuple(expr.strip() for expr in line.split(",", 1))
                 atoms = [atom for expr in pair for atom in _graph_atoms(expr)]
                 _check_size(math.prod(k for _, k in atoms))
             except ValueError as exc:

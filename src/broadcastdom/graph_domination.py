@@ -1,15 +1,21 @@
 """Exact broadcast domination on small finite graphs.
 
+A FiniteGraph holds its labels, an index of them and one ascending tuple of
+neighbour indices per vertex. Its constructor checks labels and edges that
+come from outside; paths, cycles and parsed atoms share one check for each
+atom rule, and a box product is read from its factors' neighbour tuples.
+
 Reception works as on the lattice: a broadcast at u delivers t - d(u, v) to
 every vertex v within distance t, and a vertex set dominates when every
 vertex accumulates at least r. All reception is read from one BFS ball of
-radius t - 1 per broadcast, as sparse rows (v, t - d). gamma_exact finds a
-minimum dominating set by iterative deepening over lexicographically ordered
-vertex subsets, so its witness is the lexicographically least of minimum
-size. The search keeps the deficits as r bit-planes, one bit per vertex in
-the order of the last vertex whose ball reaches it (see _min_cover). The
-verification helpers package small-graph facts: the two-broadcast cycle, the
-torus pair that beats the product bound, and product scans over graph pairs.
+radius t - 1 per broadcast, as sparse rows (v, t - d) in the order the BFS
+finds them. gamma_exact finds a minimum dominating set by iterative
+deepening over lexicographically ordered vertex subsets, so its witness is
+the lexicographically least of minimum size. The search keeps the deficits
+as r bit-planes, one bit per vertex in the order of the last vertex whose
+ball reaches it (see _min_cover). The verification helpers package
+small-graph facts: the two-broadcast cycle, the torus pair that beats the
+product bound, and product scans over graph pairs.
 
 The search meets the same subtree many times, within a deepening level and
 across levels: P7 x P7 at (2, 1) pushes 52,012 nodes over 4,737 distinct
@@ -68,8 +74,25 @@ def _check_size(vertices: int) -> None:
         raise ValueError(f"graph has more than {_MAX_EXPR_VERTICES} vertices")
 
 
+def _check_atom(kind: str, k: int, vertices: int = 1) -> None:
+    # The rules of the atom P<k> or C<k>, for the constructors and the parser
+    # alike; vertices counts the graph the atom multiplies.
+    if kind == "P" and k < 1:
+        raise ValueError("path needs at least 1 vertex")
+    if kind == "C" and k < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    _check_size(vertices * k)
+
+
 def _flat(label: Label) -> tuple:
     return label if isinstance(label, tuple) else (label,)
+
+
+def _indexed(labels: tuple[Label, ...]) -> dict[Label, int]:
+    index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ValueError("duplicate vertex label")
+    return index
 
 
 class FiniteGraph:
@@ -81,18 +104,15 @@ class FiniteGraph:
         # At most one label past the bound is read before the refusal.
         self._labels = tuple(islice(labels, _MAX_EXPR_VERTICES + 1))
         _check_size(len(self._labels))
-        self._index = {lab: i for i, lab in enumerate(self._labels)}
-        if len(self._index) != len(self._labels):
-            raise ValueError("duplicate vertex label")
+        self._index = _indexed(self._labels)
         adj: list[set[int]] = [set() for _ in self._labels]
         for a, b in edges:
-            if a not in self._index:
-                raise ValueError(f"edge endpoint {a!r} is not a vertex")
-            if b not in self._index:
-                raise ValueError(f"edge endpoint {b!r} is not a vertex")
-            if a == b:
+            i, j = self._index.get(a), self._index.get(b)
+            if i is None or j is None:
+                missing = a if i is None else b
+                raise ValueError(f"edge endpoint {missing!r} is not a vertex")
+            if i == j:
                 raise ValueError(f"self-loop at {a!r}")
-            i, j = self._index[a], self._index[b]
             adj[i].add(j)
             adj[j].add(i)
         self._adj = tuple(tuple(sorted(s)) for s in adj)
@@ -120,42 +140,40 @@ class FiniteGraph:
     @staticmethod
     def path(k: int) -> "FiniteGraph":
         """Path on vertices 1..k."""
-        if k < 1:
-            raise ValueError("path needs at least 1 vertex")
-        _check_size(k)
+        _check_atom("P", k)
         return FiniteGraph(range(1, k + 1), ((i, i + 1) for i in range(1, k)))
 
     @staticmethod
     def cycle(k: int) -> "FiniteGraph":
         """Cycle on vertices 0..k-1; k must be at least 3."""
-        if k < 3:
-            raise ValueError("cycle needs at least 3 vertices")
-        _check_size(k)
+        _check_atom("C", k)
         return FiniteGraph(range(k), ((i, (i + 1) % k) for i in range(k)))
 
     def box_product(self, other: "FiniteGraph") -> "FiniteGraph":
         """Box product; tuple labels from both factors flatten into one tuple.
 
         Vertices are ordered row-major: all of other's labels under the first
-        label of self, then the second, and so on.
+        label of self, then the second, and so on. With m = other.vertex_count,
+        vertex i * m + k neighbours j * m + k for each neighbour j of i, and
+        i * m + l for each neighbour l of k. The factors' neighbour tuples are
+        ascending and hold no self-loop, so listing the j below i, then the l,
+        then the j above i gives ascending tuples with none of __init__'s edge
+        checks. The labels keep their duplicate check: flattening makes (1, 2)
+        with 3 and 1 with (2, 3) alike.
         """
-        _check_size(self.vertex_count * other.vertex_count)
-        labels = [
-            _flat(a) + _flat(b) for a in self._labels for b in other._labels
-        ]
         m = other.vertex_count
-        edges = []
-        for i, nbrs in enumerate(self._adj):
-            for j in nbrs:
-                if j > i:
-                    for k in range(m):
-                        edges.append((labels[i * m + k], labels[j * m + k]))
-        for i in range(self.vertex_count):
-            for j, nbrs in enumerate(other._adj):
-                for k in nbrs:
-                    if k > j:
-                        edges.append((labels[i * m + j], labels[i * m + k]))
-        return FiniteGraph(labels, edges)
+        _check_size(self.vertex_count * m)
+        product = FiniteGraph.__new__(FiniteGraph)
+        tails = [_flat(b) for b in other._labels]
+        product._labels = tuple(_flat(a) + b for a in self._labels for b in tails)
+        product._index = _indexed(product._labels)
+        split = [([j * m for j in js if j < i], i * m, [j * m for j in js if j > i])
+                 for i, js in enumerate(self._adj)]
+        product._adj = tuple([
+            tuple([j + k for j in lo] + [row + l for l in ls] + [j + k for j in hi])
+            for lo, row, hi in split for k, ls in enumerate(other._adj)
+        ])
+        return product
 
     def _ball(self, src: int, radius: int) -> dict[int, int]:
         """BFS distance from vertex index src to each vertex within radius."""
@@ -209,16 +227,12 @@ def _graph_atoms(text: str) -> list[tuple[str, int]]:
             if pos == start + 1:
                 raise GraphExprError("expected a number", pos)
             k = int(text[start + 1 : pos])
-            if ch == "P" and k < 1:
-                raise GraphExprError("path needs at least 1 vertex", start)
-            if ch == "C" and k < 3:
-                raise GraphExprError("cycle needs at least 3 vertices", start)
-            # Every factor and product divides the product of all atoms.
+            try:
+                # Every factor and product divides the product of all atoms.
+                _check_atom(ch, k, vertices)
+            except ValueError as exc:
+                raise GraphExprError(str(exc), start) from None
             vertices *= k
-            if vertices > _MAX_EXPR_VERTICES:
-                raise GraphExprError(
-                    f"graph has more than {_MAX_EXPR_VERTICES} vertices", start
-                )
             atoms.append((ch, k))
             term = False
         elif term and ch:
@@ -321,7 +335,10 @@ def _min_cover(
 ) -> tuple[Optional[int], Optional[list[int]], int, int]:
     """Lexicographically least minimum set of rows that brings every column to r.
 
-    Row u holds (v, c) pairs, v ascending: choosing u adds c > 0 to column v.
+    Row u holds (v, c) pairs, each column v at most once and in any order:
+    choosing u adds c > 0 to column v. A row is read only column by column
+    (last_helper, the given masks, the column classes, the gain sums and the
+    greedy's sums), so the order within a row changes no result.
     Returns (size, row indices, greedy upper bound, nodes); size and indices
     are None when size_cap or node_budget ran out first.
 
@@ -507,7 +524,7 @@ def gamma_exact(
         raise ValueError("size_cap must be nonnegative")
     t = params.t
     rows = [
-        tuple(sorted((v, t - d) for v, d in graph._ball(u, t - 1).items()))
+        tuple((v, t - d) for v, d in graph._ball(u, t - 1).items())
         for u in range(graph.vertex_count)
     ]
     gamma, chosen, upper, nodes = _min_cover(rows, params.r, size_cap, node_budget)

@@ -1,6 +1,7 @@
 """Finite graphs: construction, parsing, exact gamma, and the verifiers."""
 
 import itertools
+import random
 import sys
 import time
 import tracemalloc
@@ -55,6 +56,13 @@ def test_finite_graph_validation():
         FiniteGraph((1, 2), ((1, 1),))
 
 
+def test_self_loop_is_found_by_index():
+    # nan != nan, so a check that compares the labels lets this loop through.
+    nan = float("nan")
+    with pytest.raises(ValueError, match="^self-loop at nan$"):
+        FiniteGraph([nan], [(nan, nan)])
+
+
 def test_path_and_cycle_shapes():
     p1 = FiniteGraph.path(1)
     assert p1.labels == (1,) and p1.edge_count == 0
@@ -78,6 +86,46 @@ def test_box_product_labels_and_edges():
     assert cube.vertex_count == 8
     assert cube.edge_count == 12
     assert all(len(lab) == 3 for lab in cube.labels)
+
+
+STAR = FiniteGraph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3)))
+# Two components and an isolated vertex, with labels out of order.
+SCATTERED = FiniteGraph(("c", "a", "d", "b", "e"), (("a", "c"), ("d", "b")))
+FACTORS = {
+    "star": STAR, "scattered": SCATTERED, "single": FiniteGraph(("x",), ()),
+    "P1": FiniteGraph.path(1), "P3": FiniteGraph.path(3),
+    "C4": FiniteGraph.cycle(4), "P2*C3": parse_graph_expr("P2*C3"),
+}
+
+
+def product_oracle(g, h):
+    """g box h through the label-edge constructor, read from g's and h's neighbours."""
+    def flat(label):
+        return label if isinstance(label, tuple) else (label,)
+
+    labels = [flat(a) + flat(b) for a in g.labels for b in h.labels]
+    edges = [(flat(a) + flat(b), flat(c) + flat(b))
+             for a in g.labels for c in g.neighbors(a) for b in h.labels]
+    edges += [(flat(a) + flat(b), flat(a) + flat(c))
+              for a in g.labels for b in h.labels for c in h.neighbors(b)]
+    return FiniteGraph(labels, edges)
+
+
+@pytest.mark.parametrize("g, h", itertools.product(FACTORS, repeat=2))
+def test_box_product_matches_the_label_edge_oracle(g, h):
+    product = FACTORS[g].box_product(FACTORS[h])
+    oracle = product_oracle(FACTORS[g], FACTORS[h])
+    assert product.labels == oracle.labels
+    for label in oracle.labels:
+        assert product.index_of(label) == oracle.index_of(label)
+        assert product.neighbors(label) == oracle.neighbors(label)
+
+
+def test_box_product_refuses_labels_that_flatten_alike():
+    # (1, 2) x 3 and 1 x (2, 3) both flatten to (1, 2, 3).
+    g, h = FiniteGraph(((1, 2), 1), ()), FiniteGraph((3, (2, 3)), ())
+    with pytest.raises(ValueError, match="^duplicate vertex label$"):
+        g.box_product(h)
 
 
 def test_distances():
@@ -117,6 +165,21 @@ def test_parse_graph_expr():
 
 
 P, C = FiniteGraph.path, FiniteGraph.cycle
+
+
+@pytest.mark.parametrize("expr, build", [
+    ("P0", lambda: P(0)),
+    ("C2", lambda: C(2)),
+    ("C1", lambda: C(1)),
+    ("P1000001", lambda: P(1000001)),
+    ("P1000*P1001", lambda: P(1000).box_product(P(1001))),
+])
+def test_parser_and_constructors_refuse_with_one_message(expr, build):
+    with pytest.raises(GraphExprError) as parsed:
+        parse_graph_expr(expr)
+    with pytest.raises(ValueError) as built:
+        build()
+    assert str(parsed.value).rpartition(" at offset")[0] == str(built.value)
 
 
 @pytest.mark.parametrize("expr, nested", [
@@ -628,6 +691,50 @@ def test_min_cover_matches_brute_force_on_irregular_rows(case):
     with mock.patch.object(graph_domination, "_MEMO_CAP", 0):
         assert _min_cover(rows, r, None, DEFAULT_NODE_BUDGET)[3] == nodes
     assert _min_cover(rows, r, None, nodes - 1)[0] is None
+
+
+ORDER_SEEDS = (0, 1, 2)
+
+
+def assert_rows_are_order_free(orders, r):
+    # orders[0] is the reference. The short budget stops the search one node
+    # before its end.
+    full = _min_cover(orders[0], r, None, DEFAULT_NODE_BUDGET)
+    short = _min_cover(orders[0], r, None, full[3] - 1)
+    assert short[0] is None
+    for rows in orders[1:]:
+        assert _min_cover(rows, r, None, DEFAULT_NODE_BUDGET) == full
+        assert _min_cover(rows, r, None, full[3] - 1) == short
+
+
+def shuffled_rows(rows):
+    """rows with the pairs inside each row permuted, once per seed."""
+    orders = []
+    for seed in ORDER_SEEDS:
+        rng = random.Random(seed)
+        orders.append([tuple(rng.sample(row, len(row))) for row in rows])
+    return orders
+
+
+@PROPERTY
+@given(irregular_rows())
+def test_min_cover_reads_irregular_rows_in_any_order(case):
+    rows, r = case
+    assert_rows_are_order_free([rows] + shuffled_rows(rows), r)
+
+
+@pytest.mark.parametrize("expr", [
+    "P7", "C9", "P3*P4", "C4*C5", "C6*C6", "P2*P3*C4", "C3*C3*C3", "P3*P3*P2",
+])
+def test_min_cover_reads_bfs_rows_in_any_order(expr):
+    # Sorted rows against the BFS order gamma_exact passes and seeded shuffles.
+    g = parse_graph_expr(expr)
+    for t in range(1, 5):
+        bfs = [g._ball(u, t - 1).items() for u in range(g.vertex_count)]
+        found = [tuple((v, t - d) for v, d in ball) for ball in bfs]
+        ordered = [tuple(sorted(row)) for row in found]
+        for r in range(1, t + 1):
+            assert_rows_are_order_free([ordered, found] + shuffled_rows(ordered), r)
 
 
 @PROPERTY
