@@ -10,7 +10,11 @@ Progress chatter goes to stderr only.
 
 Each command returns `_emit(...)`: one json payload and one text block in, the
 exit code out. csv carries the payload's scalar fields under a header of their
-names (one row per table3 cell or vizing-scan pair). The payloads of gamma,
+names (one row per table3 cell or vizing-scan pair), but five commands print a
+chosen subset: tower-check and tower-search leave out pattern, lattice-search3d
+leaves out index_cap, pattern and basis, verify-lemma2 leaves out note, and
+verify-torus leaves out squared_bound, violates_product_bound,
+canonical_dominates and expected_min_reception. The payloads of gamma,
 verify-torus, verify-lemma2 and vizing-scan are `vars(record)` of the result
 records (gamma's after expr, t and r), so a new field reaches the json. shell
 --enumerate, genfunc, bijection, tower-table and lattice-check write their own
@@ -37,7 +41,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from contextlib import nullcontext, suppress
@@ -55,8 +58,7 @@ from .coverage_bounds import (
 from .graph_domination import (
     DEFAULT_NODE_BUDGET,
     FiniteGraph,
-    _check_size,
-    _graph_atoms,
+    _check_pair,
     gamma_exact,
     parse_graph_expr,
     reception_map,
@@ -511,8 +513,7 @@ def _cmd_vizing_scan(args) -> int:
                 if "," not in line:
                     raise ValueError(f"expected 'EXPR,EXPR', got {line!r}")
                 pair = tuple(expr.strip() for expr in line.split(",", 1))
-                atoms = [atom for expr in pair for atom in _graph_atoms(expr)]
-                _check_size(math.prod(k for _, k in atoms))
+                _check_pair(*pair)
             except ValueError as exc:
                 raise ValueError(f"{args.pairs}:{lineno}: {exc}") from None
             pairs.append(pair)

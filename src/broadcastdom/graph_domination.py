@@ -33,6 +33,7 @@ skipped subtree reports node_budget + 1 nodes, as the walk would have.
 from __future__ import annotations
 
 import heapq
+import math
 from functools import reduce
 from itertools import islice
 from typing import Hashable, Iterable, Optional, Sequence
@@ -249,6 +250,12 @@ def _graph_atoms(text: str) -> list[tuple[str, int]]:
             return atoms
 
 
+def _check_pair(expr_g: str, expr_h: str) -> None:
+    # Parse both expressions and size their product, building no graph.
+    atoms = _graph_atoms(expr_g) + _graph_atoms(expr_h)
+    _check_size(math.prod(k for _, k in atoms))
+
+
 def parse_graph_expr(text: str) -> FiniteGraph:
     """Build a graph from an expression like ``P5*C4`` or ``(P2*P3)*C5``.
 
@@ -353,26 +360,29 @@ def _min_cover(
     c < r down c planes; the ints are immutable, so a stack frame keeps its
     node's deficits and nothing is undone.
 
-    A node of the search is (u, hi, planes, m, mask): the next candidate
-    row, the last candidate worth trying, the deficits, the rows still to
-    choose after a candidate, and the column prune for min(m, r) of them.
+    A node of the search is (u, hi, planes, m): the next candidate row,
+    the last candidate worth trying, the deficits and the rows still to
+    choose after a candidate.
     Choosing u pushes the node as one frame and descends, so a candidate
     does only its own work, read from tables indexed by u alone: one AND
     with stay[u], which clears planes 0 .. min(c, r) - 1 of each column u
     gives c, so a deficit d keeps max(0, d - c) bits, as in the child. The
     AND tells whether u changes the deficits, completes the cover and
     passes the gain prune; only then is the child built (at r = 1 it is
-    the AND) for the column prune and the memo.
+    the AND) for the memo and the column prune. The child's own hi, the
+    last helper of its lowest set bit, is its first prune: at or before u,
+    no helper is left for that column. Classes 1 .. r - 1 of the column
+    prune then apply while m < r.
 
     The child's subtree depends on u, child and m alone (its first
-    candidate is u + 1, hi and mask follow from child and m - 1), so the
+    candidate is u + 1 and hi follows from child), so the
     memo failed maps the key child | (u * n + m), with u * n + m < n * n in
     the w clear bits, to the nodes pushed below the child. Every frame is
     stored when it pops, since every pop is a subtree that failed (a set
     found below it returns at once). A dead end that pushed nothing is
     stored with count 0, which spares the scan of its candidates when its
     key comes back; a hit then adds 1 + 0, as the push would have. A
-    candidate that passes the prunes costs one lookup; on a hit it adds 1
+    candidate that passes the gain prune costs one lookup; on a hit it adds 1
     plus the stored count to nodes and moves on, and a total over
     node_budget returns node_budget + 1, the count at which the walk would
     have stopped inside the subtree. The memo is shared by every deepening
@@ -406,30 +416,31 @@ def _min_cover(
             keep.append((full ^ sum(given)) * tile)
             shifts.append([(c * n, g * tile) for c, g in enumerate(given) if c and g])
     # Column prune: m more rows cannot cover a column whose best single-row
-    # contribution from the rows left is c < r once its deficit exceeds
-    # m * c. cls[c] holds the columns of class c over the rows seen so far
-    # (from the last); prune(m) puts them in plane m * c, and prune(r)
-    # serves every m >= r. masks[j][u] is prune(j) and gain_after[u] the
-    # largest row total over the rows after u; masks[0] stays empty, as
-    # with no row left only child == 0 counts. No table is built per m: m
-    # runs up to the limit, which is n at t = 1, so it would be quadratic.
+    # contribution from the rows left is c once its deficit exceeds m * c.
+    # cls[c] holds the columns of class c, 1 <= c < r, over the rows seen
+    # so far (from the last); prune(m) puts them in plane m * c, so it is 0
+    # for m >= r, and masks[m][u] is prune(m) for 1 <= m < r. Class 0, the
+    # columns no row after u reaches, is the test hi <= u on the child's hi.
+    # gain_after[u] is the largest row total over the rows after u. The
+    # tables stop below r: m runs up to the limit, which is n at t = 1, so a
+    # table per m would be quadratic.
     best = [0] * n
-    cls = [full] + [0] * (r - 1)
+    cls = dict.fromkeys(range(1, r), 0)
 
     def prune(m: int) -> int:
-        return sum(cls[c] << (m * c * n) for c in range((r - 1) // m + 1))
+        return sum(cls[c] << (m * c * n) for c in range(1, (r - 1) // m + 1))
 
-    masks: list[list[int]] = [[] for _ in range(r + 1)]
+    masks: list[list[int]] = [[] for _ in range(r)]  # masks[0] is never read
     gain_after, gain = [], 0
     for row in reversed(rows):
-        for j in range(1, r + 1):
+        for j in range(1, r):
             masks[j].append(prune(j))
         gain_after.append(gain)
         for v, c in row:
             if c > best[v]:
-                if best[v] < r:
+                if best[v] in cls:
                     cls[best[v]] ^= bit[v]
-                if c < r:
+                if c in cls:
                     cls[c] |= bit[v]
                 best[v] = c
         gain = max(gain, sum(c for _, c in row))
@@ -443,21 +454,20 @@ def _min_cover(
     nodes = 0
     failed: dict[int, int] = {}
     for k in range(1, limit + 1):
-        if root & prune(min(k, r)) or n * r > k * gain:
+        if root & prune(k) or n * r > k * gain:
             continue
         nodes += 1
         if nodes > node_budget:
             break
         # The frames' u are the rows chosen above the current node; a frame
         # also keeps its child's memo key and the node count at the push.
-        stack: list[tuple[int, int, int, int, list[int], int, int]] = []
+        stack: list[tuple[int, int, int, int, int, int]] = []
         u, hi, planes, m = 0, hi_of_bit[width], root, k - 1
-        mask = masks[min(m, r)]
         while True:
             if u > hi:
                 if not stack:
                     break
-                u, hi, planes, m, mask, key, start = stack.pop()
+                u, hi, planes, m, key, start = stack.pop()
                 if len(failed) < _MEMO_CAP:
                     failed[key] = nodes - start
                 u += 1
@@ -479,18 +489,19 @@ def _min_cover(
                     child = planes & keep[u]
                     for shift, given in shifts[u]:
                         child |= (planes >> shift) & given
-                if not child & mask[u]:
-                    key = child | (u * n + m)
-                    below = failed.get(key)
-                    if below is None:
+                # Every stored key passed the prunes below, so the memo comes first.
+                key = child | (u * n + m)
+                below = failed.get(key)
+                if below is None:
+                    low = (child & -child).bit_length() - 1
+                    if hi_of_bit[low] > u and not (m < r and child & masks[m][u]):
                         nodes += 1
                         if nodes > node_budget:
                             return None, None, upper, nodes
-                        stack.append((u, hi, planes, m, mask, key, nodes))
-                        low = (child & -child).bit_length() - 1
+                        stack.append((u, hi, planes, m, key, nodes))
                         u, hi, planes, m = u + 1, hi_of_bit[low], child, m - 1
-                        mask = masks[min(m, r)]
                         continue
+                else:
                     nodes += 1 + below
                     if nodes > node_budget:
                         # The walk would have stopped inside the subtree, at
@@ -665,8 +676,15 @@ def vizing_scan(
     params: Params,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[VizingPairReport]:
-    """Evaluate the product inequalities over pairs of graph expressions."""
+    """Evaluate the product inequalities over pairs of graph expressions.
+
+    Every pair is parsed and its product sized before the first search, so a
+    bad pair anywhere raises before any time is spent.
+    """
     t, r = params.t, params.r
+    pairs = list(pairs)
+    for expr_g, expr_h in pairs:
+        _check_pair(expr_g, expr_h)
     reports = []
     for expr_g, expr_h in pairs:
         g = parse_graph_expr(expr_g)

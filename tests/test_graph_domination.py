@@ -377,6 +377,85 @@ def test_gamma_frozen_node_counts():
         assert (result.gamma, result.nodes) == (gamma, nodes), (expr, t, r)
 
 
+def lcg_rows(seed):
+    """(rows, r) for _min_cover from a linear congruential generator.
+
+    No random module, so every Python version reads the same rows: n = 10 ..
+    16 columns, r = 2 .. 4, row u gives column u the value r and each other
+    column, about one time in three, a value c in 1 .. r + 1, and row u
+    lists its pairs rotated by u, so no row is sorted by column.
+    """
+    n, r = 10 + seed % 7, 2 + seed % 3
+    state, rows = seed, []
+    for u in range(n):
+        given = {u: r}
+        for v in range(n):
+            state = (state * 1103515245 + 12345) % 2**31
+            c = (state >> 16) % (3 * r + 3)
+            if v != u and 1 <= c <= r + 1:
+                given[v] = c
+        pairs = sorted(given.items())
+        rows.append(tuple(pairs[u % len(pairs):] + pairs[:u % len(pairs)]))
+    return rows, r
+
+
+# seed -> _min_cover(*lcg_rows(seed), None, budget) for each budget of
+# MIN_COVER_BUDGETS, as (size, indices, upper bound, nodes). The first budget
+# stops most of these searches inside and lets the rest finish.
+MIN_COVER_BUDGETS = (20, 1_000_000)
+MIN_COVER_RESULTS = {
+    1: ((None, None, 6, 21), (6, [0, 1, 2, 3, 5, 8], 6, 38)),
+    2: ((None, None, 5, 21), (5, [0, 2, 4, 7, 9], 5, 71)),
+    3: ((None, None, 4, 21), (4, [0, 1, 2, 3], 4, 28)),
+    4: ((None, None, 5, 21), (5, [0, 1, 4, 5, 8], 5, 127)),
+    5: ((None, None, 5, 21), (4, [1, 4, 6, 8], 5, 45)),
+    6: ((None, None, 4, 21), (4, [0, 1, 10, 11], 4, 80)),
+    7: ((4, [1, 2, 4, 9], 4, 16), (4, [1, 2, 4, 9], 4, 16)),
+    8: ((4, [0, 1, 2, 4], 4, 15), (4, [0, 1, 2, 4], 4, 15)),
+    9: ((None, None, 4, 21), (4, [0, 1, 3, 5], 4, 41)),
+    10: ((None, None, 4, 21), (4, [0, 1, 3, 5], 4, 27)),
+    11: ((None, None, 4, 21), (4, [0, 1, 3, 9], 4, 25)),
+    12: ((None, None, 4, 21), (4, [0, 1, 2, 14], 4, 47)),
+    13: ((None, None, 5, 21), (5, [0, 2, 6, 8, 9], 5, 87)),
+    14: ((None, None, 4, 21), (4, [0, 3, 5, 6], 4, 34)),
+    15: ((None, None, 3, 21), (3, [3, 6, 9], 3, 21)),
+    16: ((None, None, 4, 21), (4, [0, 5, 7, 10], 4, 42)),
+    17: ((None, None, 5, 21), (4, [2, 4, 11, 12], 5, 88)),
+    18: ((None, None, 4, 21), (4, [2, 6, 7, 11], 4, 103)),
+    19: ((None, None, 3, 21), (3, [2, 7, 8], 3, 29)),
+    20: ((None, None, 5, 21), (4, [0, 3, 7, 14], 5, 24)),
+    21: ((3, [0, 4, 5], 3, 11), (3, [0, 4, 5], 3, 11)),
+    22: ((3, [2, 3, 4], 3, 11), (3, [2, 3, 4], 3, 11)),
+    23: ((None, None, 4, 21), (4, [1, 4, 5, 6], 4, 45)),
+    24: ((None, None, 5, 21), (4, [1, 2, 4, 6], 5, 59)),
+    25: ((None, None, 6, 21), (6, [1, 2, 3, 5, 8, 12], 6, 399)),
+    26: ((None, None, 5, 21), (5, [1, 7, 8, 10, 12], 5, 203)),
+    27: ((None, None, 5, 21), (4, [0, 1, 3, 11], 5, 64)),
+    28: ((4, [0, 2, 3, 8], 4, 17), (4, [0, 2, 3, 8], 4, 17)),
+    29: ((None, None, 4, 21), (4, [0, 2, 5, 7], 4, 46)),
+    30: ((None, None, 5, 21), (4, [0, 5, 7, 8], 5, 35)),
+    31: ((None, None, 4, 21), (4, [0, 7, 10, 11], 4, 59)),
+    32: ((None, None, 5, 21), (4, [0, 1, 9, 10], 5, 57)),
+    33: ((None, None, 4, 21), (3, [7, 11, 12], 4, 57)),
+    34: ((None, None, 4, 21), (4, [1, 4, 6, 7], 4, 111)),
+    35: ((None, None, 4, 21), (4, [0, 5, 7, 8], 4, 23)),
+    36: ((4, [0, 1, 2, 5], 4, 17), (4, [0, 1, 2, 5], 4, 17)),
+    37: ((4, [0, 1, 2, 3], 4, 10), (4, [0, 1, 2, 3], 4, 10)),
+    38: ((None, None, 5, 21), (4, [1, 2, 3, 7], 5, 48)),
+    39: ((3, [1, 3, 13], 4, 11), (3, [1, 3, 13], 4, 11)),
+    40: ((None, None, 5, 21), (5, [0, 3, 4, 5, 14], 5, 105)),
+}
+
+
+def test_min_cover_frozen_results_on_irregular_rows():
+    # These rows come from no graph, so they pin the column prune where a
+    # column's best helper gives c < r in patterns no ball gives.
+    for seed, expected in MIN_COVER_RESULTS.items():
+        rows, r = lcg_rows(seed)
+        for budget, result in zip(MIN_COVER_BUDGETS, expected):
+            assert _min_cover(rows, r, None, budget) == result, (seed, budget)
+
+
 def gamma_without_memo(*args, **kwargs):
     """gamma_exact with the memo of failed subtrees taking no entries."""
     with mock.patch.object(graph_domination, "_MEMO_CAP", 0):
@@ -951,3 +1030,23 @@ def test_vizing_scan_cap_exceeded():
     assert reports[0].status == "cap-exceeded"
     assert reports[0].halved_product_holds_gh is None
     assert reports[0].distance_product_holds is None
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (("P1000", "P1001"), ValueError, "graph has more than 1000000 vertices"),
+    (("P6*P6", "P1000*P1000"), ValueError, "graph has more than 1000000 vertices"),
+    (("P3", "Q"), GraphExprError, "unexpected character 'Q' at offset 0"),
+    (("P3", "P2*"), GraphExprError, "unexpected end of expression at offset 3"),
+])
+def test_vizing_scan_sizes_every_pair_before_searching(
+    monkeypatch, bad, error, message
+):
+    # The bad pair comes last, after a good one: no search runs. Each side of
+    # P1000 x P1001 is below the vertex bound; their product is above it.
+    calls = []
+    monkeypatch.setattr(graph_domination, "gamma_exact",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(error) as raised:
+        vizing_scan(iter([("P2", "P3"), bad]), Params(2, 1))
+    assert str(raised.value) == message
+    assert calls == []
