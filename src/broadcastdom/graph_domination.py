@@ -19,10 +19,12 @@ product bound, and product scans over graph pairs.
 
 The search meets the same subtree many times, within a deepening level and
 across levels: P7 x P7 at (2, 1) pushes 52,012 nodes over 4,737 distinct
-states. A subtree is fixed by its first candidate row, its deficits and the
-rows still to choose, so _min_cover keeps, for the whole call, the node
-count of every subtree that failed, dead ends that pushed no node included,
-and adds that count instead of walking the subtree again. Only failed
+states. A subtree is fixed by the row chosen above it, the deficits that
+row leaves and the rows still to choose. The memo keys those deficits as
+the AND that takes the row's reception off its parent's, before the child
+is built from it, and _min_cover keeps, for the whole call, the node count
+of every subtree that failed, dead ends that pushed no node included, and
+adds that count instead of walking the subtree again. Only failed
 subtrees are kept because one that finds a set ends the search. The memo
 takes no entries once it holds _MEMO_CAP, which bounds its memory where
 states rarely repeat. The tree, its visiting order, the witness and the
@@ -364,26 +366,29 @@ def _min_cover(
     the last candidate worth trying, the deficits and the rows still to
     choose after a candidate.
     Choosing u pushes the node as one frame and descends, so a candidate
-    does only its own work, read from tables indexed by u alone: one AND
-    with stay[u], which clears planes 0 .. min(c, r) - 1 of each column u
-    gives c, so a deficit d keeps max(0, d - c) bits, as in the child. The
-    AND tells whether u changes the deficits, completes the cover and
-    passes the gain prune; only then is the child built (at r = 1 it is
-    the AND) for the memo and the column prune. The child's own hi, the
-    last helper of its lowest set bit, is its first prune: at or before u,
-    no helper is left for that column. Classes 1 .. r - 1 of the column
-    prune then apply while m < r.
+    does only its own work, read from tables indexed by u alone: the AND
+    after = planes & stay[u], which clears planes 0 .. min(c, r) - 1 of each
+    column u gives c, so a deficit d keeps max(0, d - c) bits, as in the
+    child, but in planes c .. d - 1. The AND tells whether u changes the
+    deficits, completes the cover and passes the gain prune. The child is
+    the AND with each shift class of u, the columns it gives one c < r,
+    moved down c planes (at r = 1 there is none and the child is the AND).
+    The child's own hi, the last helper of its lowest set bit, is its first
+    prune: at or before u, no helper is left for that column. Classes
+    1 .. r - 1 of the column prune then apply while m < r.
 
     The child's subtree depends on u, child and m alone (its first
-    candidate is u + 1 and hi follows from child), so the
-    memo failed maps the key child | (u * n + m), with u * n + m < n * n in
-    the w clear bits, to the nodes pushed below the child. Every frame is
-    stored when it pops, since every pop is a subtree that failed (a set
-    found below it returns at once). A dead end that pushed nothing is
-    stored with count 0, which spares the scan of its candidates when its
-    key comes back; a hit then adds 1 + 0, as the push would have. A
-    candidate that passes the gain prune costs one lookup; on a hit it adds 1
-    plus the stored count to nodes and moves on, and a total over
+    candidate is u + 1 and hi follows from child). For a fixed u the move
+    is undone by shifting each class back up, so the AND names the child
+    as well, and the memo failed maps the key after | (u * n + m), with
+    u * n + m < n * n in the w clear bits, to the nodes pushed below the
+    child. The child is built only on a miss, for the prunes and the push.
+    Every frame is stored when it pops, since every pop is a subtree that
+    failed (a set found below it returns at once). A dead end that pushed
+    nothing is stored with count 0, which spares the scan of its candidates
+    when its key comes back; a hit then adds 1 + 0, as the push would have.
+    A candidate that passes the gain prune costs one lookup; on a hit it
+    adds 1 plus the stored count to nodes and moves on, and a total over
     node_budget returns node_budget + 1, the count at which the walk would
     have stopped inside the subtree. The memo is shared by every deepening
     level and takes no entries once it holds _MEMO_CAP.
@@ -397,23 +402,25 @@ def _min_cover(
     # half the memory of a (u, child, m) tuple.
     width = (n * n).bit_length()
     hi_of_bit = [0] * width + [last_helper[v] for v in by_last_helper]
-    bit = {v: 1 << (width + p) for p, v in enumerate(by_last_helper)}
+    pos = {v: width + p for p, v in enumerate(by_last_helper)}
     full = ((1 << n) - 1) << width
     # spread[c] repeats a plane mask over planes 0 .. c - 1, and spread[0]
-    # = tile over all r. At r >= 2, keep[u] clears the columns row u reaches
-    # and shifts[u] lists (c * n, the columns given c < r), masks repeated
-    # per plane by tile.
+    # = tile over all r. stay[u] keeps the planes c .. r - 1 of each column
+    # row u gives c < r and no plane of a column it gives c >= r. At r >= 2,
+    # shifts[u] lists (c * n, the columns given c < r, repeated per plane by
+    # tile): the shift classes that move down c planes into the child. One
+    # XOR moves a class: its bits are cleared first, so its shifted copy
+    # lands on empty planes even where the two overlap.
     spread = [sum(1 << (j * n) for j in range(c or r)) for c in range(r)]
     tile = spread[0]
-    multi = r > 1  # at r = 1 every shift list is empty and keep is stay
-    stay, keep, shifts = [], [], []
+    multi = r > 1  # guards the class moves: at r = 1 the AND is the child
+    stay, shifts = [], []
     for row in rows:
         given = [0] * r  # given[0] gathers the columns that receive c >= r
         for v, c in row:
-            given[c if c < r else 0] |= bit[v]
+            given[c if c < r else 0] |= 1 << pos[v]
         stay.append(full * tile ^ sum(g * s for g, s in zip(given, spread)))
         if multi:
-            keep.append((full ^ sum(given)) * tile)
             shifts.append([(c * n, g * tile) for c, g in enumerate(given) if c and g])
     # Column prune: m more rows cannot cover a column whose best single-row
     # contribution from the rows left is c once its deficit exceeds m * c.
@@ -439,13 +446,12 @@ def _min_cover(
         for v, c in row:
             if c > best[v]:
                 if best[v] in cls:
-                    cls[best[v]] ^= bit[v]
+                    cls[best[v]] ^= 1 << pos[v]
                 if c in cls:
-                    cls[c] |= bit[v]
+                    cls[c] |= 1 << pos[v]
                 best[v] = c
         gain = max(gain, sum(c for _, c in row))
-    for column in masks:
-        column.reverse()
+    masks = [column[::-1] for column in masks]
     gain_after.reverse()
 
     upper = len(_greedy_witness(rows, r))
@@ -472,27 +478,28 @@ def _min_cover(
                     failed[key] = nodes - start
                 u += 1
                 continue
-            child = planes & stay[u]
-            if child == planes:
+            after = planes & stay[u]
+            if after == planes:
                 # Every set bit has its copy in plane 0, so a row that
                 # reaches a deficient column lowers the popcount. This u
                 # reaches none, now or later; a minimum set cannot hold it.
                 u += 1
                 continue
-            if not child:
+            if not after:
                 # Frames hold increasing indices, so this is sorted.
                 return k, [frame[0] for frame in stack] + [u], upper, nodes
-            # The gain prune rejects most candidates, so it runs first, and
-            # only a candidate that passes it builds its child.
-            if m and child.bit_count() <= m * gain_after[u]:
-                if multi:
-                    child = planes & keep[u]
-                    for shift, given in shifts[u]:
-                        child |= (planes >> shift) & given
-                # Every stored key passed the prunes below, so the memo comes first.
-                key = child | (u * n + m)
+            # The gain prune rejects most candidates, so it runs first.
+            if m and after.bit_count() <= m * gain_after[u]:
+                # Every stored key passed the prunes below, so the memo comes
+                # first, and only a miss builds the child.
+                key = after | (u * n + m)
                 below = failed.get(key)
                 if below is None:
+                    child = after
+                    if multi:
+                        for shift, given in shifts[u]:
+                            moved = child & given
+                            child ^= moved ^ (moved >> shift)
                     low = (child & -child).bit_length() - 1
                     if hi_of_bit[low] > u and not (m < r and child & masks[m][u]):
                         nodes += 1

@@ -120,13 +120,15 @@ def _row_profiles(t: int, d: int) -> list[list[int]]:
     i - y.e (mod d). Refused by _check_profiles before anything is allocated.
     """
     _check_profiles(t, d)
-    profiles = []
-    for reach in range(t, 0, -1):
-        row = [0] * d
-        for x in range(1 - reach, reach):
-            row[x % d] += reach - abs(x)
-        profiles.append(row)
-    return profiles
+    return [_profile(reach, d) for reach in range(t, 0, -1)]
+
+
+def _profile(reach: int, d: int) -> list[int]:
+    """Profile t - reach of _row_profiles(t, d), for any t >= reach."""
+    row = [0] * d
+    for x in range(1 - reach, reach):
+        row[x % d] += reach - abs(x)
+    return row
 
 
 def tower_reception(params: Params, pattern: TowerPattern, i: int) -> int:
@@ -223,17 +225,16 @@ def _step_profiles(profiles: list[list[int]], d: int) -> None:
     """Step the row profiles of level d to those of level d - 1, in place.
 
     A profile of reach t - a that does not wrap (2(t - a) - 1 < d) holds
-    zeros from index t - a to d - t + a, so it loses the one at t - a. The
-    profiles that wrap come first and are copied from _row_profiles(t, d - 1),
-    built only at a level below 2t. Lists that alias a profile stay valid.
+    zeros from index t - a to d - t + a, so it loses the one at t - a. Only
+    the profiles that wrap are rebuilt, by _profile at d - 1. Lists that
+    alias a profile stay valid.
     """
     t = len(profiles)
-    fresh = _row_profiles(t, d - 1) if 2 * t - 1 >= d else None
     for a, row in enumerate(profiles):
         if 2 * (t - a) - 1 < d:
             del row[t - a]
         else:
-            row[:] = fresh[a]
+            row[:] = _profile(t - a, d - 1)
 
 
 def _tower_search(

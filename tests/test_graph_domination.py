@@ -611,6 +611,25 @@ def test_gamma_deep_search_memory_stays_linear():
     assert peak < 10_000_000
 
 
+@pytest.mark.parametrize("t, r, bound", [(2, 1, 2.28), (2, 2, 4.13), (3, 3, 5.95)])
+def test_min_cover_set_up_memory(t, r, bound):
+    # In units of one n x (n * r)-bit table: a row holds one deficit mask,
+    # its shift classes and the m < r prune masks, and no other table
+    # grows as n squared. The search stops at its first node, so the peak
+    # is the set-up's and the greedy's.
+    g = P(3000)
+    n = g.vertex_count
+    rows = [tuple((v, t - d) for v, d in g._ball(u, t - 1).items()) for u in range(n)]
+    tracemalloc.start()
+    try:
+        result = _min_cover(rows, r, None, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result[::3] == (None, 1)
+    assert peak / (n * n * r / 8) < bound
+
+
 @pytest.mark.parametrize("expr, t, r", [("P6*P6", 3, 3), ("P7*P7", 2, 1)])
 def test_gamma_size_cap_sweep(expr, t, r):
     g, params = parse_graph_expr(expr), Params(t, r)
