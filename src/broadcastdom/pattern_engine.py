@@ -8,24 +8,25 @@ in Z^2 and Z^3 by _tower_search, from the coverage ceiling (lowered to a
 caller's cap) down; _check_profiles refuses a top before any work. The
 tent t - |y|_1 - |x| is summed in three places. The row profiles, indexed
 by |y|_1 and stepped in place from one d to the next, hold it per row of
-broadcasts. At each d, one scatter of the ball (_middle_column) sums it
-for every row with d not dividing y_last (the others read their profile)
-and gives column d // 2's reception for every last coordinate of the
-shift vector e at once; each e below r there is dropped, and the rest are
-walked over the profiles, rotated for each e, as are reception_table's
-rows. The coset histogram, a dict from reached box representatives to
-receptions, sums it for every other, single-pattern reception. All
-share the cap of DEFAULT_INDEX_CAP cosets; the t row profiles of d slots
-each also share the cap of _PROFILE_SLOT_CAP slots. Every cap refuses
-through _check_cap with the one CapExceeded.
+broadcasts. For each prefix e[:-1] of the shift vector e, a scatter of the
+ball (_column) sums it for every row with d not dividing y_last (the others
+read their profile) and gives one column's reception for every last entry
+of e at once: column d // 2, then the column that rejected the last e; each
+e below r at either is dropped, and the rest are walked over the other
+columns of the profiles, rotated for each e, as are reception_table's rows.
+The coset histogram, a dict from reached box representatives to receptions,
+sums it for every other, single-pattern reception. All share the cap of
+DEFAULT_INDEX_CAP cosets; the t row profiles of d slots each also share the
+cap of _PROFILE_SLOT_CAP slots. Every cap refuses through _check_cap with
+the one CapExceeded.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from operator import getitem, mul, sub
-from typing import Callable, Iterator, Sequence
+from operator import getitem, sub
+from typing import Callable, Sequence
 
 from .coverage_bounds import Params, max_potential_d
 from .lattice_geometry import LatticePoint, _ball_walk, _check_cap, _Record
@@ -157,59 +158,56 @@ def reception_table(params: Params, pattern: TowerPattern) -> ReceptionProfile:
     return ReceptionProfile(str(pattern), totals, tuple(rows))
 
 
-def _shift_vectors(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """Shift vectors e of the towers T(d; e) of Z^n worth trying, ascending.
+def _least_in_orbit(e: tuple[int, ...], d: int, canon: Sequence[int]) -> bool:
+    """Whether T(d; e) of Z^(len(e) + 1) is not an image of one tried earlier.
 
     Flipping the sign of axis y_j maps e_j to d - e_j and permuting the y
     axes permutes e, so the least vector of each orbit is nondecreasing with
-    every e_j <= d // 2, as combinations_with_replacement yields them. When
-    gcd(e_j, d) = 1, swapping x with y_j gives e_j^-1 at j and -e_j^-1 * e_i
-    at i != j (mod d); e is dropped when that image's least vector,
-    sorted(min(v, d - v)), comes first (surely when its entry at j is below
-    e_0, the whole test in Z^2), as it was tried already.
+    every e_j <= d // 2, as the search lists them. When gcd(e_j, d) = 1,
+    swapping x with y_j gives e_j^-1 at j and -e_j^-1 * e_i at i != j
+    (mod d); e fails when that image's least vector, sorted canon[v] with
+    canon[v] = min(v, d - v), comes first (surely when its entry at j is
+    below e_0, the whole test for one coordinate). So a prefix whose first
+    entry fails alone fails every e it starts.
     """
-    canon = [*range(d // 2 + 1), *range((d - 1) // 2, 0, -1)]  # min(v, d - v)
-    for e in itertools.combinations_with_replacement(range(d // 2 + 1), n - 1):
-        for j, v in enumerate(e):
-            if v > 1 and math.gcd(v, d) == 1:
-                w = pow(v, -1, d)
-                c = canon[w]
-                if c < e[0] or n > 2 and sorted(
-                    c if k == j else canon[w * u % d] for k, u in enumerate(e)
-                ) < list(e):
-                    break
-        else:
-            yield e
+    for j, v in enumerate(e):
+        if v > 1 and math.gcd(v, d) == 1:
+            w = pow(v, -1, d)
+            c = canon[w]
+            if c < e[0] or len(e) > 1 and sorted(
+                c if k == j else canon[w * u % d] for k, u in enumerate(e)
+            ) < list(e):
+                return False
+    return True
 
 
-def _middle_column(
+def _column(
     d: int, ball: Sequence[tuple[LatticePoint, int]], rows: Sequence[list[int]]
-) -> Callable[[tuple[int, ...]], list[int]]:
-    """Column d // 2's reception in T(d; *prefix, l) for every l <= d // 2.
+) -> Callable[[Sequence[int], int], list[int]]:
+    """Column i's reception in T(d; *prefix, l) for every l <= d // 2.
 
-    Returns that list as a function of the prefix e[:-1]; ball lists each y
-    of B_(n-1)(t-1) with t - 1 - |y|_1, as _ball_walk does, and rows holds
-    the level's row profile of each y in the same order. Offset (x, y)
-    reaches column i0 = d // 2 exactly when y_last * l = off - x (mod d),
-    where off = i0 - y[:-1].prefix. With g = gcd(y_last, d), that needs
-    x = off (mod g), and then l = k * (y_last / g)^-1 (mod d / g) with
-    k = (off - x) / g; each solution l gets t - |y|_1 - |x|. A row with
+    Returns it as a function of base and i: ball lists each y of
+    B_(n-1)(t-1) with t - 1 - |y|_1, as _ball_walk does, rows the level's
+    row profile of each y, and base y[:-1].prefix for each y. Offset (x, y)
+    reaches column i exactly when y_last * l = off - x (mod d), where
+    off = i - y[:-1].prefix. With g = gcd(y_last, d), that needs x = off
+    (mod g), and then l = q * (y_last / g)^-1 (mod d / g) with
+    q = (off - x) / g; each solution l gets t - |y|_1 - |x|. A row with
     d | y_last adds the same to every l: its profile at off, read once.
     """
-    i0, half = d // 2, d // 2 + 1
+    half = d // 2 + 1
     fixed, scattered = [], []
-    for ((*head, last), left), row in zip(ball, rows):
+    for k, (((*_, last), left), row) in enumerate(zip(ball, rows)):
         g = math.gcd(last, d)
         if g == d:
-            fixed.append((head, row))
+            fixed.append((k, row))
         else:
-            scattered.append((head, left, g, d // g, pow(last // g, -1, d // g)))
+            scattered.append((k, left, g, d // g, pow(last // g, -1, d // g)))
 
-    def column(prefix: tuple[int, ...]) -> list[int]:
-        base = sum(row[(i0 - sum(map(mul, head, prefix))) % d] for head, row in fixed)
-        received = [base] * half
-        for head, left, g, m, inv in scattered:
-            off = (i0 - sum(map(mul, head, prefix))) % d
+    def column(base: Sequence[int], i: int) -> list[int]:
+        received = [sum(row[(i - base[k]) % d] for k, row in fixed)] * half
+        for k, left, g, m, inv in scattered:
+            off = (i - base[k]) % d
             # the least x >= -left with x = off (mod g), then every g-th one
             for x in range(off - (off + left) // g * g, left + 1, g):
                 l = (off - x) // g * inv % m
@@ -248,14 +246,15 @@ def _tower_search(
     Offset y sends row profile |y|_1 to column i - y.e (mod d). Every coset
     meets the x-axis, so T(d; e) dominates when every column reaches r, and
     negation fixes it, so column d - i receives what column i does: only
-    columns 0..d // 2 are walked. First, column d // 2, the farthest from
-    the broadcasts of row 0, is read for every last coordinate of e at once
-    by _middle_column, whenever e[:-1] changes; an e it finds below r is
-    dropped before its shifts are built. Columns near the one that rejected
-    the last e tend to reject the next, so the walk of a survivor goes
-    outward from that killer k: k, k - 1, k + 1, k - 2, k + 2, ... (mod
-    d // 2 + 1). Each d starts at k = d // 2. The row profiles are stepped
-    from level to level by _step_profiles.
+    columns 0..d // 2 are walked. The e come one prefix e[:-1] at a time,
+    skipped whole when its first entry fails _least_in_orbit. A prefix sets
+    base, y[:-1].e for every y, once; _column scatters it at column d // 2,
+    the farthest from row 0's broadcasts, for every last entry l at once.
+    The walk starts at the killer k, the column that rejected the last e:
+    k, k - 1, k + 1, ... (mod d // 2 + 1), as its neighbours tend to reject
+    the next. When k is not d // 2, a second scatter at k drops more l
+    before _least_in_orbit, and the walk skips both scattered columns.
+    Each d starts at k = d // 2; _step_profiles steps the profiles down.
     """
     t, r = params.t, params.r
     top = max_potential_d(n, params)
@@ -264,31 +263,42 @@ def _tower_search(
     profiles = _row_profiles(t, top)
     ball = list(_ball_walk(n - 1, t - 1))
     rows = [profiles[t - 1 - left] for _, left in ball]
-    first, *rest = zip(*(y for y, _ in ball))
+    *axes, lasts = zip(*(y for y, _ in ball))
     # offsets from the killer in walking order: 0, -1, 1, -2, 2, ...
     steps = [(k + 1) // 2 * (-1) ** k for k in range(top // 2 + 1)]
     for d in range(top, 0, -1):
-        half, killer = d // 2 + 1, d // 2
+        half = d // 2 + 1
+        mid = killer = d // 2
         outward = steps[:half]
-        middle, prefix = _middle_column(d, ball, rows), None
-        for e in _shift_vectors(n, d):
-            if e[:-1] != prefix:
-                prefix = e[:-1]
-                received = middle(prefix)
-            if received[e[-1]] < r:
+        canon = [*range(half), *range((d - 1) // 2, 0, -1)]  # min(v, d - v)
+        column = _column(d, ball, rows)
+        for prefix in itertools.combinations_with_replacement(range(half), n - 2):
+            if not _least_in_orbit(prefix[:1], d, canon):
                 continue
-            # i - shift lies in (-d, d), so negative indexing wraps it mod d
-            lead = e[0]
-            shifts = [y * lead % d for y in first]
-            for j, axis in enumerate(rest, 1):
-                shifts = [(s + y * e[j]) % d for s, y in zip(shifts, axis)]
-            for step in outward:
-                i = (killer + step) % half
-                if sum(map(getitem, rows, map(sub, itertools.repeat(i), shifts))) < r:
-                    killer = i
-                    break
-            else:
-                return d, e
+            base = [0] * len(ball)
+            for axis, v in zip(axes, prefix):
+                base = [b + y * v for b, y in zip(base, axis)]
+            received, low = column(base, mid), max(prefix, default=0)
+            kept = list(itertools.compress(
+                range(low, half), map(r.__le__, received[low:])))
+            passed = killer
+            if kept and killer != mid:
+                received = column(base, killer)
+                kept = [l for l in kept if received[l] >= r]
+            for l in kept:
+                if not _least_in_orbit((*prefix, l), d, canon):
+                    continue
+                # i - shift lies in (-d, d), so negative indexing wraps it mod d
+                shifts = [(b + y * l) % d for b, y in zip(base, lasts)]
+                for step in outward:
+                    i = (killer + step) % half
+                    if i != mid and i != passed and sum(
+                        map(getitem, rows, map(sub, itertools.repeat(i), shifts))
+                    ) < r:
+                        killer = i
+                        break
+                else:
+                    return d, (*prefix, l)
         _step_profiles(profiles, d)
     raise AssertionError("unreachable: d = 1 always dominates")
 

@@ -242,6 +242,82 @@ MIN_TOWERS = {
 # The periods alone for t <= 9, the acceptance gate's table.
 MIN_TOWER_PERIODS = {k: d for k, (d, _) in MIN_TOWERS.items() if k[0] <= 9}
 
+# The tower search of Z^3 and Z^4, frozen as (d, *e) from a full search run
+# that scattered column d // 2 alone; each uncapped answer dominates by
+# brute_lattice_receptions.
+# TOWER_SEARCH_3D_BY_TOP[t, r] lists the answers met as the top falls from
+# the coverage ceiling: the first answers every top from the ceiling down to
+# its own d, the next every top below that down to its d, and so on to
+# d = 1. TOWER_SEARCH_3D and TOWER_SEARCH_4D are the uncapped answers.
+TOWER_SEARCH_3D_BY_TOP = {
+    (1, 1): [(1, 0, 0)],
+    (2, 1): [
+        (7, 2, 3), (6, 2, 3), (5, 0, 2), (4, 0, 2), (3, 0, 0), (2, 0, 0),
+        (1, 0, 0),
+    ],
+    (2, 2): [(4, 1, 2), (3, 0, 1), (2, 0, 0), (1, 0, 0)],
+    (3, 1): [
+        (21, 2, 8), (20, 5, 8), (19, 2, 7), (18, 2, 7), (17, 2, 6), (16, 2, 6),
+        (15, 2, 4), (14, 2, 5), (13, 0, 5), (12, 2, 3), (11, 0, 3), (10, 0, 4),
+        (9, 0, 2), (8, 0, 2), (7, 0, 2), (6, 0, 2), (5, 0, 0), (4, 0, 0),
+        (3, 0, 0), (2, 0, 0), (1, 0, 0),
+    ],
+    (3, 2): [
+        (15, 4, 6), (13, 2, 5), (12, 2, 5), (11, 1, 4), (10, 1, 4), (9, 1, 3),
+        (8, 0, 3), (7, 0, 2), (6, 0, 2), (5, 0, 1), (4, 0, 0), (3, 0, 0),
+        (2, 0, 0), (1, 0, 0),
+    ],
+    (3, 3): [
+        (10, 2, 5), (9, 2, 3), (8, 1, 4), (7, 1, 2), (6, 0, 3), (5, 0, 1),
+        (4, 0, 1), (3, 0, 0), (2, 0, 0), (1, 0, 0),
+    ],
+    (4, 1): [
+        (55, 5, 21), (50, 8, 12), (49, 3, 19), (48, 7, 18), (47, 3, 13),
+        (46, 4, 18), (45, 3, 17), (44, 4, 17), (43, 2, 12), (42, 4, 16),
+        (41, 2, 16), (40, 2, 11), (39, 2, 11), (38, 2, 15), (37, 2, 8),
+        (36, 2, 10), (35, 2, 10), (34, 2, 9), (33, 2, 7), (32, 2, 7),
+        (31, 2, 7), (30, 2, 7), (29, 2, 6), (28, 2, 6), (27, 2, 6), (26, 2, 6),
+        (25, 0, 7), (24, 2, 5), (23, 0, 5), (22, 0, 6), (21, 0, 6), (20, 0, 8),
+        (19, 0, 4), (18, 0, 4), (17, 0, 3), (16, 0, 4), (15, 0, 3), (14, 0, 3),
+        (13, 0, 2), (12, 0, 2), (11, 0, 2), (10, 0, 2), (9, 0, 2), (8, 0, 2),
+        (7, 0, 0), (6, 0, 0), (5, 0, 0), (4, 0, 0), (3, 0, 0), (2, 0, 0),
+        (1, 0, 0),
+    ],
+    (4, 2): [
+        (38, 7, 11), (36, 4, 15), (35, 4, 14), (34, 3, 13), (33, 4, 9),
+        (32, 3, 12), (31, 2, 12), (30, 3, 11), (29, 2, 8), (28, 2, 11),
+        (27, 2, 10), (26, 2, 7), (25, 2, 7), (24, 2, 7), (23, 1, 9),
+        (22, 1, 6), (21, 1, 6), (20, 1, 8), (19, 1, 4), (18, 0, 5), (17, 1, 4),
+        (16, 0, 6), (15, 0, 4), (14, 0, 3), (13, 0, 3), (12, 0, 3), (11, 0, 2),
+        (10, 0, 2), (9, 0, 2), (8, 0, 2), (7, 0, 1), (6, 0, 0), (5, 0, 0),
+        (4, 0, 0), (3, 0, 0), (2, 0, 0), (1, 0, 0),
+    ],
+    (4, 3): [
+        (27, 4, 10), (26, 6, 11), (25, 3, 10), (24, 3, 10), (23, 2, 9),
+        (22, 2, 9), (21, 2, 6), (20, 2, 5), (19, 2, 5), (18, 2, 5), (17, 1, 6),
+        (16, 1, 4), (15, 1, 4), (14, 1, 4), (13, 0, 5), (12, 0, 3), (11, 0, 3),
+        (10, 0, 3), (9, 0, 2), (8, 0, 2), (7, 0, 1), (6, 0, 1), (5, 0, 0),
+        (4, 0, 0), (3, 0, 0), (2, 0, 0), (1, 0, 0),
+    ],
+    (4, 4): [
+        (22, 5, 8), (21, 3, 8), (20, 3, 8), (19, 2, 7), (18, 2, 5), (17, 2, 5),
+        (16, 1, 6), (15, 1, 4), (14, 1, 4), (13, 0, 5), (12, 0, 5), (11, 0, 3),
+        (10, 0, 3), (9, 0, 2), (8, 0, 2), (7, 0, 1), (6, 0, 1), (5, 0, 0),
+        (4, 0, 0), (3, 0, 0), (2, 0, 0), (1, 0, 0),
+    ],
+}
+TOWER_SEARCH_3D = {
+    (1, 1): (1, 0, 0), (2, 1): (7, 2, 3), (2, 2): (4, 1, 2),
+    (3, 1): (21, 2, 8), (3, 2): (15, 4, 6), (3, 3): (10, 2, 5),
+    (4, 1): (55, 5, 21), (4, 2): (38, 7, 11), (4, 3): (27, 4, 10),
+    (4, 4): (22, 5, 8), (5, 1): (117, 16, 22), (5, 2): (80, 5, 31),
+    (5, 3): (60, 9, 22), (5, 4): (48, 4, 19), (5, 5): (40, 6, 15),
+}
+TOWER_SEARCH_4D = {
+    (1, 1): (1, 0, 0, 0), (2, 1): (9, 2, 3, 4), (2, 2): (5, 1, 2, 2),
+    (3, 1): (35, 6, 7, 10), (3, 2): (21, 4, 5, 7), (3, 3): (16, 4, 6, 7),
+}
+
 # Per-row contributions of T(18, 5) under (4, 2), rows y = 3 down to -3.
 # Each row lists the reception that row's broadcasts deliver to (i, 0)
 # for i = 0..17; the Sum row is the columnwise total.

@@ -33,10 +33,10 @@ from broadcastdom.lattice_geometry import _ball_walk
 from broadcastdom.pattern_engine import (
     _PROFILE_SLOT_CAP,
     _check_profiles,
+    _column,
     _coset_histogram,
-    _middle_column,
+    _least_in_orbit,
     _row_profiles,
-    _shift_vectors,
     _step_profiles,
     _tower_search,
 )
@@ -46,6 +46,9 @@ from _cases import (
     TOWER_18_5_ROWS,
     TOWER_18_5_SUM,
     TOWER_CASES,
+    TOWER_SEARCH_3D,
+    TOWER_SEARCH_3D_BY_TOP,
+    TOWER_SEARCH_4D,
     brute_lattice_receptions,
     brute_min_tower,
     brute_min_tower_3d,
@@ -184,41 +187,70 @@ def test_tower_search_3d_matches_brute_search_below_every_top():
                 assert _tower_search(3, params, cap) == _tower_search(3, params)
 
 
+def test_tower_search_matches_frozen_answers_below_every_top():
+    # Every top of Z^3 for t <= 4 and the uncapped searches of Z^3 for
+    # t <= 5 and Z^4 for t <= 3, each of whose answers must also dominate:
+    # every coset (i, 0, ..., 0) receives r by the brute-force oracle.
+    for (t, r), answers in TOWER_SEARCH_3D_BY_TOP.items():
+        params = Params(t, r)
+        top = max_potential_d(3, params)
+        for d, *e in answers:
+            for cap in range(top, d - 1, -1):
+                assert _tower_search(3, params, cap) == (d, tuple(e)), (t, r, cap)
+            top = d - 1
+        assert top == 0, (t, r)
+    for n, frozen in ((3, TOWER_SEARCH_3D), (4, TOWER_SEARCH_4D)):
+        for (t, r), (d, *e) in frozen.items():
+            assert _tower_search(n, Params(t, r)) == (d, tuple(e)), (n, t, r)
+            basis = [(d,) + (0,) * (n - 1)] + [
+                (e_j,) + tuple(int(k == j) for k in range(1, n))
+                for j, e_j in enumerate(e, 1)
+            ]
+            receptions = brute_lattice_receptions(t, basis)
+            assert len(receptions) == d and min(receptions.values()) >= r, (n, t, r)
+
+
 def level_rows(t, d, ball):
     # The level's row profiles in ball order: profile |y|_1 for each y.
     profiles = _row_profiles(t, d)
     return [profiles[t - 1 - left] for _, left in ball]
 
 
-def test_middle_column_matches_plane_window_oracle():
+def test_column_matches_plane_window_oracle():
     # Every level the Z^2 search can walk for t <= 6 (r = 1 starts highest):
-    # entry l is column d // 2 of T(d, l) by explicit broadcast enumeration.
+    # entry l of column i is column i of T(d, l) by explicit broadcast
+    # enumeration. The prefix is empty, so base is all zeros.
     for t in range(1, 7):
         ball = list(_ball_walk(1, t - 1))
         for d in range(max_potential_d(2, Params(t, 1)), 0, -1):
-            expected = [
-                window_tower_receptions(t, 1, d, l)[d // 2] for l in range(d // 2 + 1)
-            ]
-            rows = level_rows(t, d, ball)
-            assert _middle_column(d, ball, rows)(()) == expected, (t, d)
+            half = d // 2 + 1
+            windows = [window_tower_receptions(t, 1, d, l) for l in range(half)]
+            column, base = _column(d, ball, level_rows(t, d, ball)), [0] * len(ball)
+            for i in range(half):
+                expected = [window[i] for window in windows]
+                assert column(base, i) == expected, (t, d, i)
 
 
-def test_middle_column_matches_space_lattice_oracle():
-    # In Z^3 the prefix is e1; entry l is the reception of the coset
-    # (d // 2, 0, 0) of the basis ((d,0,0), (e1,1,0), (l,0,1)).
+def test_column_matches_space_lattice_oracle():
+    # In Z^3 the prefix is e1 and base holds y_1 * e1; entry l of column i
+    # is the reception of the coset (i, 0, 0) of the basis ((d,0,0),
+    # (e1,1,0), (l,0,1)). Swapping y_1 with y_2 fixes (i, 0, 0) and swaps
+    # e1 with l, so the oracle is read once for each pair {e1, l}.
     for t in range(1, 5):
         ball = list(_ball_walk(2, t - 1))
         for d in range(1, 31):
-            rows = level_rows(t, d, ball)
-            column, middle = _middle_column(d, ball, rows), (d // 2, 0, 0)
-            for e1 in range(d // 2 + 1):
-                expected = [
-                    brute_lattice_receptions(
-                        t, ((d, 0, 0), (e1, 1, 0), (l, 0, 1)), [middle]
-                    )[middle]
-                    for l in range(d // 2 + 1)
-                ]
-                assert column((e1,)) == expected, (t, d, e1)
+            half = d // 2 + 1
+            column = _column(d, ball, level_rows(t, d, ball))
+            points, oracle = [(i, 0, 0) for i in range(half)], {}
+            for e1, l in itertools.combinations_with_replacement(range(half), 2):
+                basis = ((d, 0, 0), (e1, 1, 0), (l, 0, 1))
+                oracle[e1, l] = brute_lattice_receptions(t, basis, points)
+                oracle[l, e1] = oracle[e1, l]
+            for e1 in range(half):
+                base = [y1 * e1 for (y1, _), _ in ball]
+                for i, point in enumerate(points):
+                    expected = [oracle[e1, l][point] for l in range(half)]
+                    assert column(base, i) == expected, (t, d, e1, i)
 
 
 def test_step_profiles_match_a_fresh_build_at_every_level():
@@ -257,16 +289,19 @@ def test_plane_shift_walk_keeps_the_mirror_and_axis_swap_skips():
             e for e in range(d // 2 + 1)
             if math.gcd(e, d) != 1 or min(pow(e, -1, d), -pow(e, -1, d) % d) >= e
         ]
-        assert [e for (e,) in _shift_vectors(2, d)] == expected, d
+        canon = [min(v, d - v) for v in range(d)]
+        got = [e for e in range(d // 2 + 1) if _least_in_orbit((e,), d, canon)]
+        assert got == expected, d
 
 
 def test_space_shift_walk_drops_exactly_the_earlier_axis_swap_images():
     # Swapping x with y_j maps the tower lattice onto another lattice; when
     # gcd(e_j, d) = 1 its Hermite form is again a tower, whose shifts sorted
     # up to sign give the image's least vector. The walk keeps a
-    # nondecreasing e <= d // 2 exactly when no such image comes first.
+    # nondecreasing e <= d // 2 exactly when no such image comes first, and
+    # a prefix (e_0,) that fails drops every e it starts.
     for d in range(1, 26):
-        kept = []
+        canon, kept, got = [min(v, d - v) for v in range(d)], [], []
         for e in itertools.combinations_with_replacement(range(d // 2 + 1), 2):
             images = []
             for j in (1, 2):
@@ -280,7 +315,10 @@ def test_space_shift_walk_drops_exactly_the_earlier_axis_swap_images():
                 images.append(sorted(min(v, d - v) for v in (basis[1][0], basis[2][0])))
             if all(image >= list(e) for image in images):
                 kept.append(e)
-        assert list(_shift_vectors(3, d)) == kept, d
+            if _least_in_orbit(e, d, canon):
+                assert _least_in_orbit(e[:1], d, canon), (d, e)
+                got.append(e)
+        assert got == kept, d
 
 
 def test_hermite_normal_form():

@@ -153,6 +153,10 @@ def lattice_search_6_2(child):
     assert child.out == "L(154,0,0; 7,1,0; 43,0,1)\n"
 
 
+def lattice_search_7_2(child):
+    assert child.out == "L(268,0,0; 29,1,0; 37,0,1)\n"
+
+
 def genfunc_three_terms(child):
     # ball_size(k, 16000) for k = 0, 1, 2, from three terms of one series.
     assert child.out == "1 32001 512032001\n"
@@ -294,6 +298,10 @@ def indented_json(child):
     pytest.param(
         ["lattice-search3d", "6", "2"], 10, 0, lattice_search_6_2, None,
         id="lattice-search3d-z3-6-2",
+    ),
+    pytest.param(
+        ["lattice-search3d", "7", "2"], 10, 0, lattice_search_7_2, None,
+        id="lattice-search3d-z3-7-2",
     ),
     pytest.param(
         ["tower-table", "30", "10", "1262", "495", "--format", "json",
